@@ -13,8 +13,9 @@
  *   events/quantum   executed events per simulated scheduling quantum
  *   Mticks/s         simulated ticks per wall second, in millions
  *
- * Tables are archived through the standard --json flag (use
- * `--json BENCH_PERF.json`).  At the default parameters a second
+ * Tables are archived through the standard --json flag; the checked-in
+ * archive is tools/perf_baseline.json (tools/perf_regress.sh --update
+ * re-records it).  At the default parameters a second
  * table compares against the seed-controller reference measured
  * before the wake-precise optimization (PR 3), tracking the event
  * and wall-clock trajectory.
@@ -24,7 +25,8 @@
  *   perf_smoke --check BASELINE.json [--wall-tol PCT] [--events-only]
  *
  * re-runs the set and compares against a previously archived
- * BENCH_PERF.json: events and events/quantum must match exactly
+ * table such as tools/perf_baseline.json: events and events/quantum
+ * must match exactly
  * (the simulation is deterministic, sharded or not), wall-clock may
  * regress by at most PCT percent and Mticks/s may drop by the same
  * factor (default 20; faster is never a failure; --events-only
@@ -32,12 +34,14 @@
  * non-zero on any regression.
  *
  * The header line and each row report the host core count and the
- * threads a config needs (kernel workers + main).  Host-speed
+ * threads a config needs (kernel workers, the main thread being
+ * worker 0).  Host-speed
  * checks of a threaded row are SKIPPED (visibly) when hostCores <
  * threads needed: timing an oversubscribed run measures the host,
  * not the simulator.  Event checks always run.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -66,12 +70,15 @@ struct SmokeConfig
     /** Run with epoch-sampled telemetry enabled. */
     bool telemetry = false;
 
-    /** Worker threads the threaded kernel wants, plus the main
-     *  thread.  1 for the single-threaded rows. */
+    /** Threads the run uses: the kernel's worker count, which
+     *  includes the main thread as worker 0 and is clamped to the
+     *  lane count.  1 for the single-threaded rows. */
     int
     threadsNeeded() const
     {
-        return shards + coreLanes > 0 ? shards + coreLanes + 1 : 1;
+        const int lanes = (shards > 0 ? channels : 0)
+            + std::min(coreLanes, cores);
+        return std::clamp(shards + coreLanes, 1, std::max(lanes, 1));
     }
 };
 
@@ -185,8 +192,9 @@ runConfig(const SmokeConfig &sc, const BenchOptions &opts)
 }
 
 // ---------------------------------------------------------------
-// Baseline comparison (--check): parse the BENCH_PERF.json archive
-// written by a previous run and diff events / wall-clock.
+// Baseline comparison (--check): parse the archive written by a
+// previous --json run (tools/perf_baseline.json) and diff events /
+// wall-clock.
 // ---------------------------------------------------------------
 
 /** Row cells of the "perf_smoke" table in an archived JSON file.

@@ -120,8 +120,9 @@ struct SystemConfig
      * one event queue, results bit-identical to prior releases.
      * >= 1: the sharded kernel -- each channel's controller runs on
      * its own event-queue lane, synchronized with the cores at
-     * shardEpoch boundaries; `shards` is the phase-B worker-thread
-     * count (clamped to the channel count; 1 = sequential lanes).
+     * shardEpoch boundaries; `shards` is the phase-B worker count,
+     * the calling thread included (clamped to the lane count; 1 =
+     * sequential lanes on the caller, n starts n - 1 threads).
      * Results are identical for every shards >= 1 value and differ
      * slightly from the legacy kernel (requests cross into their
      * channel at the next epoch boundary instead of immediately;

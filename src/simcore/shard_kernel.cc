@@ -2,6 +2,10 @@
 
 #include <algorithm>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
 #include "simcore/logging.hh"
 
 namespace refsched
@@ -17,6 +21,48 @@ profMs(ProfClock::time_point from, ProfClock::time_point to)
 {
     return std::chrono::duration<double, std::milli>(to - from)
         .count();
+}
+
+/** Busy-wait hint: lets the sibling hyperthread run and avoids the
+ *  memory-order pipeline flush when the spun-on line changes. */
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    _mm_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+}
+
+/** Polls before a barrier side parks: about 100 us at ~25 ns per
+ *  poll.  A worker waits out phase A+C (typically 10-15 us) and the
+ *  caller waits out the slowest worker's range, so the spin almost
+ *  always ends without a futex round trip, while a stalled peer
+ *  (long phase, busy host) still gets its CPU back. */
+constexpr int kSpinIters = 1 << 12;
+
+/**
+ * Wait until @p ready holds for the value of @p a: spin up to
+ * @p spins polls, then park in atomic::wait.  Every load acquires,
+ * so the caller happens-after the release that published the value.
+ */
+template <typename T, typename Ready>
+T
+awaitValue(const std::atomic<T> &a, int spins, Ready ready)
+{
+    for (int i = 0; i < spins; ++i) {
+        const T v = a.load(std::memory_order_acquire);
+        if (ready(v))
+            return v;
+        cpuRelax();
+    }
+    while (true) {
+        const T v = a.load(std::memory_order_acquire);
+        if (ready(v))
+            return v;
+        a.wait(v, std::memory_order_acquire);
+    }
 }
 
 } // namespace
@@ -74,11 +120,17 @@ ShardKernel::startWorkers()
             static_cast<std::size_t>(workers_), 0.0);
         prof_.workerWaitMs.assign(
             static_cast<std::size_t>(workers_), 0.0);
-        workerFinish_.assign(static_cast<std::size_t>(workers_),
-                             ProfClock::time_point{});
+        workerStamps_.resize(static_cast<std::size_t>(workers_));
     }
-    threads_.reserve(static_cast<std::size_t>(workers_));
-    for (int w = 0; w < workers_; ++w)
+    // Spinning pays only while every worker has a CPU of its own.
+    // With more workers than CPUs a spinning thread holds the CPU
+    // that the thread it waits for needs, so both sides park at once.
+    const unsigned cpus = std::thread::hardware_concurrency();
+    spinIters_ =
+        static_cast<unsigned>(workers_) <= cpus ? kSpinIters : 0;
+    // Worker 0 is the caller itself.
+    threads_.reserve(static_cast<std::size_t>(workers_ - 1));
+    for (int w = 1; w < workers_; ++w)
         threads_.emplace_back([this, w] { workerLoop(w); });
 }
 
@@ -87,11 +139,9 @@ ShardKernel::stopWorkers()
 {
     if (threads_.empty())
         return;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        quit_ = true;
-    }
-    cvStart_.notify_all();
+    quit_.store(true, std::memory_order_relaxed);
+    gen_.fetch_add(1, std::memory_order_release);
+    gen_.notify_all();
     for (auto &t : threads_)
         t.join();
     threads_.clear();
@@ -105,42 +155,36 @@ ShardKernel::runLaneRange(int first, int last)
 }
 
 void
+ShardKernel::runWorker(int workerId)
+{
+    // Static partition: lane ownership never changes, so a lane's
+    // events always run on the same thread and successive windows
+    // of one lane are ordered by the barrier alone.
+    const LaneRange r =
+        workerLanes(workerId, workers_, totalLaneCount());
+    if (!profile_) {
+        runLaneRange(r.first, r.last);
+        return;
+    }
+    auto &s = workerStamps_[static_cast<std::size_t>(workerId)];
+    s.start = ProfClock::now();
+    runLaneRange(r.first, r.last);
+    s.finish = ProfClock::now();
+}
+
+void
 ShardKernel::workerLoop(int workerId)
 {
-    // Static block partition of the lanes over the workers: lane
-    // ownership never changes, so a lane's events always run on the
-    // same thread and successive windows of one lane are ordered by
-    // the barrier alone.
-    const int lanes = totalLaneCount();
-    const int per = (lanes + workers_ - 1) / workers_;
-    const int first = std::min(workerId * per, lanes);
-    const int last = std::min(first + per, lanes);
-
     std::uint64_t seen = 0;
     while (true) {
-        {
-            std::unique_lock<std::mutex> lk(mu_);
-            cvStart_.wait(lk,
-                          [&] { return quit_ || gen_ != seen; });
-            if (quit_)
-                return;
-            seen = gen_;
-        }
-        if (profile_) {
-            const auto b0 = ProfClock::now();
-            runLaneRange(first, last);
-            const auto b1 = ProfClock::now();
-            prof_.workerBusyMs[static_cast<std::size_t>(workerId)] +=
-                profMs(b0, b1);
-            workerFinish_[static_cast<std::size_t>(workerId)] = b1;
-        } else {
-            runLaneRange(first, last);
-        }
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            if (--pending_ == 0)
-                cvDone_.notify_one();
-        }
+        seen = awaitValue(gen_, spinIters_, [seen](std::uint64_t g) {
+            return g != seen;
+        });
+        if (quit_.load(std::memory_order_acquire))
+            return;
+        runWorker(workerId);
+        if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1)
+            pending_.notify_one();
     }
 }
 
@@ -194,25 +238,22 @@ ShardKernel::runUntil(Tick limit)
                 runLaneRange(0, totalLaneCount());
             }
         } else {
-            {
-                std::lock_guard<std::mutex> lk(mu_);
-                pending_ = workers_;
-                ++gen_;
-            }
-            cvStart_.notify_all();
-            std::unique_lock<std::mutex> lk(mu_);
-            cvDone_.wait(lk, [&] { return pending_ == 0; });
+            pending_.store(workers_ - 1, std::memory_order_relaxed);
+            gen_.fetch_add(1, std::memory_order_release);
+            gen_.notify_all();
+            runWorker(0);
+            awaitValue(pending_, spinIters_,
+                       [](int p) { return p == 0; });
             if (profile_) {
-                // pending_ == 0 under mu_ happens-after every
-                // worker's finish-timestamp write; the gap from a
-                // worker's finish to now is its barrier wait.
+                // Acquiring pending_ == 0 happens-after every
+                // worker's stamp writes; the gap from a worker's
+                // finish to now is its barrier wait.
                 const auto tb = ProfClock::now();
-                for (int w = 0; w < workers_; ++w) {
-                    const double wait = profMs(
-                        workerFinish_[static_cast<std::size_t>(w)],
-                        tb);
-                    prof_.workerWaitMs[static_cast<std::size_t>(w)] +=
-                        std::max(wait, 0.0);
+                for (std::size_t w = 0; w < workerStamps_.size(); ++w) {
+                    const auto &s = workerStamps_[w];
+                    prof_.workerBusyMs[w] += profMs(s.start, s.finish);
+                    prof_.workerWaitMs[w] +=
+                        std::max(profMs(s.finish, tb), 0.0);
                 }
                 ++prof_.barriers;
             }

@@ -35,10 +35,11 @@
  *             safe here because the other lanes are quiescent.
  *   phase A'/B  cluster lanes and channel lanes run [T, T+E),
  *             mutually independent -- sequentially, or in parallel
- *             when workers > 1.  Cluster lanes may READ main-lane
- *             state that phase A only mutates at boundary-aligned
- *             ticks (the analytic refresh schedule, their own task's
- *             page table) -- ordered by the pool barrier.
+ *             when workers > 1 (the caller runs worker 0's lanes).
+ *             Cluster lanes may READ main-lane state that phase A
+ *             only mutates at boundary-aligned ticks (the analytic
+ *             refresh schedule, their own task's page table) --
+ *             ordered by the pool barrier.
  *   phase C   barrier; the boundary hooks run single-threaded in
  *             registration order and drain the mailboxes, scheduling
  *             deliveries at >= T+E.
@@ -69,11 +70,11 @@
 #ifndef REFSCHED_SIMCORE_SHARD_KERNEL_HH
 #define REFSCHED_SIMCORE_SHARD_KERNEL_HH
 
+#include <atomic>
 #include <chrono>
-#include <condition_variable>
+#include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <ostream>
 #include <thread>
 #include <vector>
@@ -132,13 +133,34 @@ class ShardKernel
     Tick epoch() const { return epoch_; }
 
     /**
-     * Worker threads for phase A'/B.  1 (default) runs the lanes
-     * sequentially on the caller's thread; n > 1 spreads them over
-     * min(n, totalLaneCount) persistent workers.  The thread count
-     * never affects results.  Must be set before the first runUntil.
+     * Workers for phase A'/B, counting the caller.  1 (default) runs
+     * the lanes sequentially on the caller's thread; n > 1 spreads
+     * them over w = min(n, totalLaneCount) workers: the caller runs
+     * worker 0's lanes and w - 1 persistent threads run the rest.
+     * The worker count never affects results.  Must be set before
+     * the first runUntil.
      */
     void setWorkers(int n);
     int workers() const { return workers_; }
+
+    /** Kernel-owned lanes [first, last) of one worker. */
+    struct LaneRange
+    {
+        int first;
+        int last;
+    };
+
+    /**
+     * The static partition of @p lanes over @p workers: worker @p w
+     * owns the contiguous range starting at w*lanes/workers.  Ranges
+     * differ in size by at most one, so with workers <= lanes every
+     * worker owns at least one lane.
+     */
+    static LaneRange
+    workerLanes(int w, int workers, int lanes)
+    {
+        return {w * lanes / workers, (w + 1) * lanes / workers};
+    }
 
     /**
      * Register a hook invoked single-threaded at every window
@@ -217,6 +239,8 @@ class ShardKernel
     void workerLoop(int workerId);
     /** Run kernel-owned lanes [first, last) up to target_. */
     void runLaneRange(int first, int last);
+    /** Run worker @p workerId's lanes up to target_, profiled. */
+    void runWorker(int workerId);
 
     EventQueue &main_;
     std::vector<std::unique_ptr<EventQueue>> lanes_;
@@ -228,28 +252,44 @@ class ShardKernel
     int workers_ = 1;
     std::vector<std::function<void(Tick)>> boundaryHooks_;
 
-    // Phase-A'/B thread pool: a generation barrier.  The coordinator
-    // bumps gen_ to release the workers on target_, then waits for
-    // pending_ to drain; both transitions synchronize through mu_,
-    // which is what orders mailbox writes against phase C.
-    std::vector<std::thread> threads_;
-    std::mutex mu_;
-    std::condition_variable cvStart_;
-    std::condition_variable cvDone_;
-    std::uint64_t gen_ = 0;
-    int pending_ = 0;
+    // Phase-A'/B thread pool (workers 1..w-1; the caller is worker
+    // 0): an atomic generation barrier.  The caller sets pending_,
+    // then bumps gen_ with release to publish target_ and phase C's
+    // mailbox deliveries; each worker acquires gen_, runs its range
+    // and decrements pending_ with release; the caller acquires
+    // pending_ == 0 before phase C reads what the lanes wrote.  Both
+    // sides spin briefly, then park on the atomic.  stopWorkers sets
+    // quit_ and bumps gen_ once more.  spinIters_ is the spin bound,
+    // 0 when there are more workers than host CPUs; set before the
+    // threads start.  gen_ shares its cache line only with the other
+    // caller-written fields (quit_, target_) and pending_, written by
+    // the workers, has a line to itself, so neither side's spin is
+    // disturbed by the other's traffic.
+    static constexpr std::size_t kCacheLine = 64;
+    int spinIters_ = 0;
+    alignas(kCacheLine) std::atomic<std::uint64_t> gen_{0};
+    std::atomic<bool> quit_{false};
     Tick target_ = 0;
-    bool quit_ = false;
+    alignas(kCacheLine) std::atomic<int> pending_{0};
 
     /** Self-profiling; set before worker threads start (read-only
-     *  afterwards, so workers may read it unlocked). */
-    bool profile_ = false;
+     *  afterwards, so workers may read it unsynchronized). */
+    alignas(kCacheLine) bool profile_ = false;
     KernelProfile prof_;
-    /** Per-worker range-finish timestamps for the barrier-wait
-     *  accounting; written by workers before they decrement
-     *  pending_ under mu_, read by the coordinator after the
-     *  barrier drains (same lock orders the accesses). */
-    std::vector<std::chrono::steady_clock::time_point> workerFinish_;
+    /** One worker's lane-range start/finish stamps for the current
+     *  window, a cache line each so concurrent workers do not
+     *  false-share.  Written by the worker before its release
+     *  decrement of pending_, folded into prof_ by the caller after
+     *  acquiring pending_ == 0. */
+    struct alignas(kCacheLine) WorkerStamps
+    {
+        std::chrono::steady_clock::time_point start;
+        std::chrono::steady_clock::time_point finish;
+    };
+    std::vector<WorkerStamps> workerStamps_;
+
+    /** Workers 1..w-1, declared after everything they touch. */
+    std::vector<std::thread> threads_;
 };
 
 } // namespace refsched

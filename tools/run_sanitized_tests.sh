@@ -5,9 +5,10 @@
 #   tools/run_sanitized_tests.sh [jobs]
 #
 # The ASan pass catches memory errors and UB across the whole suite;
-# the TSan pass targets the parallel experiment runner first (the
-# only multi-threaded subsystem), then runs the full suite anyway --
-# races can hide behind any entry point that constructs a runner.
+# the TSan pass targets the multi-threaded subsystems first (the
+# parallel experiment runner and the sharded kernel's worker pool),
+# then runs the full suite anyway -- races can hide behind any entry
+# point that constructs a runner or a threaded kernel.
 
 set -euo pipefail
 
@@ -117,8 +118,11 @@ echo "=== tsan: parallel-runner + sharded-kernel determinism suites ==="
 # ShardIdentityTest runs the channel lanes on real worker threads
 # (no probe attached) and asserts bit-identity with the sequential
 # run -- the primary TSan target for the sharded kernel.
+# ShardKernelTest drives the spin-then-park barrier directly: 10^5
+# one-tick windows whose boundary hook reads every lane's writes,
+# and worker shutdown from both the spinning and the parked state.
 ctest --test-dir build-tsan --output-on-failure \
-    -R 'ParallelRunner|GoldenTraceJobs|ShardIdentity|ScenarioIntegration'
+    -R 'ParallelRunner|GoldenTraceJobs|ShardIdentity|ShardKernel|ScenarioIntegration'
 echo "=== tsan: sharded CLI run (real worker threads) ==="
 # No --timeline here: attaching a probe forces workers=1, and the
 # point of this pass is the threaded phase-B path.
@@ -141,6 +145,7 @@ echo "=== tsan: core-lane scenario run (churn crossing clusters) ==="
 # traffic crosses the per-core staging boxes.
 ./build-tsan/tools/refsched_cli --policy co-design \
     --benchmarks GemsFDTD,stream,GemsFDTD,npb_ua --cores 2 \
+    --tasks-per-core 2 \
     --density 32 --scale 1024 --channels 2 --core-lanes 2 \
     --warmup 0 --measure 24 --seed 1 \
     --scenario tests/validate/data/adversarial_colocation.scenario \
