@@ -62,8 +62,7 @@ struct SmokeConfig
     const char *name;
     Policy policy;
     int channels = 1;
-    int shards = 0;     ///< 0 = legacy kernel, >0 = sharded kernel
-    int coreLanes = 0;  ///< core-cluster lanes (0 = cores on main)
+    int shards = 0;  ///< 0 = legacy kernel, >0 = sharded kernel
     int cores = 2;
     /** Open-loop serving spec (ServingConfig::parse), or null. */
     const char *serving = nullptr;
@@ -72,49 +71,44 @@ struct SmokeConfig
 
     /** Threads the run uses: the kernel's worker count, which
      *  includes the main thread as worker 0 and is clamped to the
-     *  lane count.  1 for the single-threaded rows. */
+     *  channel-lane count.  1 for the legacy rows. */
     int
     threadsNeeded() const
     {
-        const int lanes = (shards > 0 ? channels : 0)
-            + std::min(coreLanes, cores);
-        return std::clamp(shards + coreLanes, 1, std::max(lanes, 1));
+        return shards > 0 ? std::min(shards, channels) : 1;
     }
 };
 
 /** The fixed config set; order is part of the archive format.  The
  *  2-channel co-design cell exercises the multi-controller scan
  *  paths; the -sh2 cell runs the same machine on the sharded kernel
- *  with one worker per channel; the -cl rows add core-cluster lanes
- *  (the -sh4-cl8 row is the 8-core 4-channel co-design target of
- *  the core-lane work).  Host-speed checks for threaded rows are
- *  skipped on hosts with fewer cores than the row needs. */
+ *  with one worker per channel; the -8c-4ch-sh4 row is the 8-core
+ *  4-channel co-design machine on four channel-lane workers.
+ *  Host-speed checks for threaded rows are skipped on hosts with
+ *  fewer cores than the row needs. */
 constexpr SmokeConfig kConfigs[] = {
     {"allbank-32gb", Policy::AllBank, 1},
     {"perbank-32gb", Policy::PerBank, 1},
     {"codesign-32gb", Policy::CoDesign, 1},
     {"codesign-32gb-2ch", Policy::CoDesign, 2},
     {"codesign-32gb-2ch-sh2", Policy::CoDesign, 2, 2},
-    {"codesign-32gb-2ch-cl2", Policy::CoDesign, 2, 0, 2},
-    {"codesign-32gb-2ch-sh2-cl2", Policy::CoDesign, 2, 2, 2},
-    {"codesign-32gb-8c-4ch-sh4-cl8", Policy::CoDesign, 4, 4, 8, 8},
+    {"codesign-32gb-8c-4ch-sh4", Policy::CoDesign, 4, 4, 8},
     // Serving rows ride at the END so the legacy baseline prefix
     // stays byte-identical; the injector runs on the main lane and
     // adds no worker thread (threadsNeeded is unchanged).
-    {"codesign-32gb-2ch-serving", Policy::CoDesign, 2, 0, 0, 2,
+    {"codesign-32gb-2ch-serving", Policy::CoDesign, 2, 0, 2,
      "arrival=mmpp,load=0.4,pool=8,queue=32,lines=4"},
-    {"codesign-32gb-2ch-sh2-cl2-serving", Policy::CoDesign, 2, 2, 2,
-     2, "arrival=mmpp,load=0.4,pool=8,queue=32,lines=4"},
+    {"codesign-32gb-2ch-sh2-serving", Policy::CoDesign, 2, 2, 2,
+     "arrival=mmpp,load=0.4,pool=8,queue=32,lines=4"},
     // Telemetry rows, also at the END.  The sharded row must execute
     // exactly the events of its telemetry-off twin above (sampling
     // is a boundary hook, not an event); the legacy row adds one
     // periodic sampling event per period.  Earlier rows running with
     // telemetry disabled and events unchanged is the perf gate's
     // zero-cost-when-off evidence.
-    {"codesign-32gb-2ch-sh2-cl2-telem", Policy::CoDesign, 2, 2, 2, 2,
+    {"codesign-32gb-2ch-sh2-telem", Policy::CoDesign, 2, 2, 2,
      nullptr, true},
-    {"codesign-32gb-telem", Policy::CoDesign, 1, 0, 0, 2, nullptr,
-     true},
+    {"codesign-32gb-telem", Policy::CoDesign, 1, 0, 2, nullptr, true},
 };
 
 /**
@@ -162,7 +156,6 @@ runConfig(const SmokeConfig &sc, const BenchOptions &opts)
         sc.cores, /*tasksPerCore=*/4, opts.timeScale);
     cfg.channels = sc.channels;
     cfg.shards = sc.shards;
-    cfg.coreLanes = sc.coreLanes;
     if (sc.serving)
         cfg.serving = workload::ServingConfig::parse(sc.serving);
     cfg.telemetry.enabled = sc.telemetry;

@@ -65,78 +65,6 @@ CacheHierarchy::access(int coreId, Pid pid, Addr paddr, bool isWrite)
     return res;
 }
 
-void
-CacheHierarchy::enableLaneMode()
-{
-    laneCounters_.assign(l1s_.size(), LaneCounters{});
-}
-
-L1AccessResult
-CacheHierarchy::l1Access(int coreId, Addr paddr, bool isWrite)
-{
-    L1AccessResult res;
-    auto &lc = laneCounters_[static_cast<std::size_t>(coreId)];
-    ++lc.accesses;
-
-    Cache &l1 = l1s_[static_cast<std::size_t>(coreId)];
-    res.latency = l1.params().hitLatency;
-
-    const auto l1Out = l1.access(paddr, isWrite);
-    if (l1Out.hit) {
-        res.hit = true;
-        return res;
-    }
-    ++lc.l1Misses;
-    res.victimValid = l1Out.victimValid;
-    res.victimDirty = l1Out.victimDirty;
-    res.victimAddr = l1Out.victimAddr;
-    return res;
-}
-
-HierarchyResult
-CacheHierarchy::applyL2(const L2Lookup &lookup)
-{
-    // Mirrors access() from the L1 miss onward: the latency spans
-    // the whole walk and the victim percolation order is identical.
-    HierarchyResult res;
-    res.latency = params_.l1.hitLatency + params_.l2.hitLatency;
-
-    if (lookup.victimValid && lookup.victimDirty) {
-        const auto wbOut = l2_.insert(lookup.victimAddr, true);
-        if (wbOut.victimValid && wbOut.victimDirty) {
-            REFSCHED_ASSERT(res.writebackCount < 2,
-                            "writeback overflow");
-            res.writebacks[res.writebackCount++] = wbOut.victimAddr;
-            ++dramWritebacks_;
-        }
-    }
-
-    const auto l2Out = l2_.access(lookup.paddr, false);
-    if (l2Out.hit)
-        return res;
-
-    ++l2Misses_;
-    ++l2MissesPerPid_[lookup.pid];
-    if (l2Out.victimValid && l2Out.victimDirty) {
-        REFSCHED_ASSERT(res.writebackCount < 2, "writeback overflow");
-        res.writebacks[res.writebackCount++] = l2Out.victimAddr;
-        ++dramWritebacks_;
-    }
-
-    res.dramMiss = !lookup.isWrite;
-    return res;
-}
-
-void
-CacheHierarchy::flushLaneStats()
-{
-    for (auto &lc : laneCounters_) {
-        totalAccesses_ += static_cast<double>(lc.accesses);
-        l1Misses_ += static_cast<double>(lc.l1Misses);
-        lc = LaneCounters{};
-    }
-}
-
 std::uint64_t
 CacheHierarchy::l2MissesOf(Pid pid) const
 {
@@ -154,8 +82,6 @@ CacheHierarchy::reset()
     l2_.reset();
     l2_.resetStats();
     l2MissesPerPid_.clear();
-    for (auto &lc : laneCounters_)
-        lc = LaneCounters{};
 }
 
 void
@@ -169,8 +95,6 @@ CacheHierarchy::resetStats()
     l1Misses_.reset();
     l2Misses_.reset();
     dramWritebacks_.reset();
-    for (auto &lc : laneCounters_)
-        lc = LaneCounters{};
 }
 
 void

@@ -47,37 +47,6 @@ struct HierarchyResult
     Addr writebacks[2] = {0, 0};
 };
 
-/**
- * Outcome of the lane-side L1 fast path (core-lane mode).  A hit is
- * complete; a miss hands its dirty-victim information to the parked
- * L2 lookup so the boundary drain can replay the exact legacy
- * victim-percolation order.
- */
-struct L1AccessResult
-{
-    bool hit = false;
-    /** L1 hit latency in CPU cycles (charged inline on a hit). */
-    Cycles latency = 0;
-    bool victimValid = false;
-    bool victimDirty = false;
-    Addr victimAddr = 0;
-};
-
-/**
- * One shared-L2 lookup parked by a core inside a window, applied
- * serially at the next boundary in (tick, coreId) order.
- */
-struct L2Lookup
-{
-    Addr paddr = 0;
-    Pid pid = -1;
-    bool isWrite = false;
-    /** The L1 victim displaced by this access, if dirty+valid. */
-    bool victimValid = false;
-    bool victimDirty = false;
-    Addr victimAddr = 0;
-};
-
 class CacheHierarchy
 {
   public:
@@ -89,33 +58,6 @@ class CacheHierarchy
      */
     HierarchyResult access(int coreId, Pid pid, Addr paddr,
                            bool isWrite);
-
-    // --- Core-lane mode: synchronous L1 / asynchronous L2 split ---
-    //
-    // Under core-cluster lanes each core owns its L1 exclusively, so
-    // the L1 lookup stays a synchronous call on the core's lane
-    // (l1Access).  The shared L2 is main-lane state: an L1 miss
-    // parks an L2Lookup in the core and the cluster fabric applies
-    // it at the single-threaded window boundary (applyL2), replaying
-    // the same victim-percolation sequence access() performs inline.
-    // Per-core counters keep the lane side write-local; the fabric
-    // folds them into the registered Scalars each boundary.
-
-    /** Size the per-core lane counters; required before l1Access. */
-    void enableLaneMode();
-
-    /** Lane-side L1 lookup by core @p coreId (exclusive owner). */
-    L1AccessResult l1Access(int coreId, Addr paddr, bool isWrite);
-
-    /**
-     * Boundary-side shared-L2 half of a parked miss.  The returned
-     * latency spans the full hierarchy walk (L1 + L2 hit latency),
-     * exactly as access() reports it.
-     */
-    HierarchyResult applyL2(const L2Lookup &lookup);
-
-    /** Fold per-core lane counters into the Scalars (coreId order). */
-    void flushLaneStats();
 
     /** Demand L2 misses for @p pid (numerator of MPKI). */
     std::uint64_t l2MissesOf(Pid pid) const;
@@ -135,18 +77,10 @@ class CacheHierarchy
     void registerStats(StatRegistry &reg, const std::string &prefix);
 
   private:
-    /** Lane-local counters, one cache line per core. */
-    struct alignas(64) LaneCounters
-    {
-        std::uint64_t accesses = 0;
-        std::uint64_t l1Misses = 0;
-    };
-
     HierarchyParams params_;
     std::vector<Cache> l1s_;
     Cache l2_;
     std::map<Pid, std::uint64_t> l2MissesPerPid_;
-    std::vector<LaneCounters> laneCounters_;
 
     Scalar totalAccesses_;
     Scalar l1Misses_;

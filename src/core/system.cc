@@ -61,25 +61,15 @@ System::System(const SystemConfig &cfg)
         eq_, dev_, std::move(refresh), cfg_.mcParams);
     mc_->registerStats(registry_, "mc");
 
-    // Sharded kernel: one controller lane per channel (shards > 0)
-    // and/or one lane per core cluster (coreLanes > 0), plus the
+    // Sharded kernel: one controller lane per channel plus the
     // cross-shard router; cores then talk to the router, not the
     // controller.  The worker count is fixed at run() time (probes
-    // force sequential lanes).  Core lanes shrink the window to
-    // coreLaneEpoch and align every window boundary to the OS
-    // quantum so setTask and director actions always run with the
-    // lanes caught up.
-    effCoreLanes_ = std::min(cfg_.coreLanes, cfg_.numCores);
-    const bool laneMode = effCoreLanes_ > 0;
-    if (cfg_.shards > 0 || laneMode) {
-        const Tick epoch = laneMode
-            ? std::min(cfg_.shardEpoch, cfg_.coreLaneEpoch)
-            : cfg_.shardEpoch;
+    // force sequential lanes).
+    if (cfg_.shards > 0) {
         shardKernel_ = std::make_unique<ShardKernel>(
-            eq_, cfg_.shards > 0 ? cfg_.channels : 0, epoch,
-            effCoreLanes_, laneMode ? cfg_.effectiveQuantum() : 0);
+            eq_, cfg_.channels, cfg_.shardEpoch);
         shardRouter_ = std::make_unique<memctrl::ShardRouter>(
-            *shardKernel_, *mc_, cfg_.shards > 0);
+            *shardKernel_, *mc_);
     }
     memPort_ = shardRouter_
         ? static_cast<memctrl::MemoryPort *>(shardRouter_.get())
@@ -97,32 +87,6 @@ System::System(const SystemConfig &cfg)
             eq_, i, cfg_.coreParams, *caches_, memPort, *vm_));
         cores_.back()->registerStats(registry_,
                                      "core" + std::to_string(i));
-    }
-
-    // Core-cluster lanes: contiguous blocks -- core i lives on
-    // cluster i * lanes / numCores.  The assignment only decides
-    // which thread runs the core; results are identical for every
-    // lane count >= 1 (see shard_kernel.hh).  The fabric's boundary
-    // hook runs after the router's (registration order), so a
-    // resumed core observes this window's completions already
-    // staged.
-    if (laneMode) {
-        caches_->enableLaneMode();
-        std::vector<EventQueue *> laneOfCore;
-        std::vector<cpu::Core *> corePtrs;
-        for (int i = 0; i < cfg_.numCores; ++i) {
-            const int cluster = i * effCoreLanes_ / cfg_.numCores;
-            EventQueue &lane = shardKernel_->clusterLane(cluster);
-            cores_[static_cast<std::size_t>(i)]->attachCoreLane(lane);
-            laneOfCore.push_back(&lane);
-            corePtrs.push_back(
-                cores_[static_cast<std::size_t>(i)].get());
-        }
-        shardRouter_->setCoreLanes(std::move(laneOfCore));
-        fabric_ = std::make_unique<ClusterFabric>(
-            std::move(corePtrs), *caches_, *vm_);
-        shardKernel_->setBoundaryHook(
-            [this](Tick b) { fabric_->onBoundary(b); });
     }
 
     os::SchedulerParams sp;
@@ -215,7 +179,7 @@ System::System(const SystemConfig &cfg)
     // the scenario director); its coreId = -1 reads stage through
     // the router onto their owning channel lane at epoch boundaries
     // in sharded mode, so enabling it never perturbs the
-    // {jobs}x{shards}x{core-lanes} identity matrix.
+    // {jobs}x{shards} identity matrix.
     if (cfg_.serving.enabled) {
         workload::ServingInjector::Hooks hooks;
         if (director_) {
@@ -245,11 +209,11 @@ System::System(const SystemConfig &cfg)
 
     // Sampled telemetry: constructed and hooked AFTER every other
     // component so that in sharded mode its boundary hook is the
-    // LAST phase-C hook -- the router and fabric have drained their
-    // mailboxes and the window is sealed when the samplers read the
-    // component counters.  Telemetry never routes through the probe
-    // hub, so enabling it keeps the kernel's worker threads (probes
-    // force sequential lanes; telemetry must not).  The kernel
+    // LAST phase-C hook -- the router has drained its mailboxes and
+    // the window is sealed when the samplers read the component
+    // counters.  Telemetry never routes through the probe hub, so
+    // enabling it keeps the kernel's worker threads (probes force
+    // sequential lanes; telemetry must not).  The kernel
     // self-profiler rides along: it is opt-in for the same runs.
     if (cfg_.telemetry.enabled) {
         telemetry_ =
@@ -641,7 +605,7 @@ System::run(int warmupQuanta, int measureQuanta)
     // either way -- the sharded kernel's phase order is fixed.
     if (shardKernel_) {
         shardKernel_->setWorkers(
-            probeHub_ ? 1 : cfg_.shards + effCoreLanes_);
+            probeHub_ ? 1 : cfg_.shards);
     }
     const auto runKernel = [this](Tick limit) {
         return shardKernel_ ? shardKernel_->runUntil(limit)

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "cache/cache_hierarchy.hh"
-#include "core/cluster_fabric.hh"
 #include "core/metrics.hh"
 #include "core/system_config.hh"
 #include "cpu/core.hh"
@@ -71,10 +70,6 @@ class System
     /** The sharded kernel, or null under the legacy kernel. */
     ShardKernel *shardKernel() { return shardKernel_.get(); }
 
-    /** Core-cluster lane count after clamping to numCores (0 when
-     *  core lanes are off). */
-    int effectiveCoreLanes() const { return effCoreLanes_; }
-
     /** Events executed across every lane (legacy: the one queue). */
     std::uint64_t
     executedEvents() const
@@ -104,8 +99,8 @@ class System
      *  sharded mode it reads sealed window state from a boundary
      *  hook; in legacy mode it is a StatDump-priority event.
      *  Series values are byte-identical across {jobs} x {shards} x
-     *  {workers} within a kernel timing mode (core lanes on/off are
-     *  distinct modes, like the rest of the identity contract). */
+     *  {workers} within a timing mode (legacy, or sharded with any
+     *  shards >= 1). */
     obs::TelemetryRecorder *telemetry() { return telemetry_.get(); }
 
     const SystemConfig &config() const { return cfg_; }
@@ -193,8 +188,6 @@ class System
     std::unique_ptr<memctrl::MemoryController> mc_;
     std::unique_ptr<ShardKernel> shardKernel_;
     std::unique_ptr<memctrl::ShardRouter> shardRouter_;
-    std::unique_ptr<ClusterFabric> fabric_;
-    int effCoreLanes_ = 0;
     std::unique_ptr<os::BuddyAllocator> buddy_;
     std::unique_ptr<os::VirtualMemory> vm_;
     std::unique_ptr<cache::CacheHierarchy> caches_;

@@ -141,10 +141,6 @@ SystemConfig::check() const
         fatal("shards must be >= 0 (0 = legacy kernel)");
     if (shards > 0 && shardEpoch <= 0)
         fatal("sharded kernel needs a positive epoch");
-    if (coreLanes < 0)
-        fatal("coreLanes must be >= 0 (0 = cores on the main lane)");
-    if (coreLanes > 0 && coreLaneEpoch <= 0)
-        fatal("core-cluster lanes need a positive epoch");
     serving.check();
     telemetry.check();
 }

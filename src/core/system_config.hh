@@ -116,9 +116,10 @@ struct SystemConfig
 
     // --- Sharded event kernel ---
     /**
-     * 0 (default): the legacy exact kernel -- every component on
-     * one event queue, results bit-identical to prior releases.
-     * >= 1: the sharded kernel -- each channel's controller runs on
+     * The timing mode; there are exactly two, keyed by this field
+     * alone.  0 (default): the legacy exact kernel -- every
+     * component on one event queue, results bit-identical to prior
+     * releases.  >= 1: the sharded kernel -- each channel's controller runs on
      * its own event-queue lane, synchronized with the cores at
      * shardEpoch boundaries; `shards` is the phase-B worker count,
      * the calling thread included (clamped to the lane count; 1 =
@@ -138,33 +139,6 @@ struct SystemConfig
      * clocks per window.
      */
     Tick shardEpoch = 15000;
-
-    /**
-     * Core-cluster lanes of the sharded kernel.  0 (default): cores
-     * run on the main lane exactly as before -- with shards == 0 too
-     * this is the legacy kernel, bit-identical to prior releases.
-     * >= 1: cores and their private L1s are partitioned into this
-     * many clusters (clamped to numCores), each running on its own
-     * event-queue lane concurrently with the channel lanes; shared-L2
-     * lookups drain at the single-threaded window boundary in
-     * deterministic (tick, coreId) order and complete next window.
-     * Results are identical for every coreLanes >= 1 value (and any
-     * worker-thread count) and differ slightly from coreLanes == 0
-     * (an L1 miss resolves at the next window boundary instead of
-     * inline; see simcore/shard_kernel.hh and DESIGN.md section 12).
-     */
-    int coreLanes = 0;
-
-    /**
-     * Core-lane epoch window length E_core in ticks.  The shared-L2
-     * hit latency is 20 CPU cycles (~6.6 ns at 3.2 GHz), so with
-     * E_core <= 5 ns an L1 miss issued inside a window cannot
-     * observably complete before the boundary -- deferring the L2
-     * lookup to the boundary never distorts which window the
-     * completion lands in.  When core lanes are enabled the kernel
-     * runs at min(shardEpoch, coreLaneEpoch).
-     */
-    Tick coreLaneEpoch = 5000;
 
     // --- Components ---
     cpu::CoreParams coreParams;

@@ -11,7 +11,7 @@ namespace refsched::cpu
 Core::Core(EventQueue &eq, int id, const CoreParams &params,
            cache::CacheHierarchy &caches,
            memctrl::MemoryPort &mc, os::VirtualMemory &vm)
-    : eq_(eq), schedQ_(&eq), id_(id), params_(params),
+    : eq_(eq), id_(id), params_(params),
       caches_(caches), mc_(mc), vm_(vm)
 {
     if (params_.issueWidth < 1 || params_.robSize < 1)
@@ -23,32 +23,6 @@ Core::Core(EventQueue &eq, int id, const CoreParams &params,
                         0);
     fillSlotFilled_.assign(
         static_cast<std::size_t>(params_.robSize) + 1, 0);
-}
-
-void
-Core::attachCoreLane(EventQueue &lane)
-{
-    laneMode_ = true;
-    schedQ_ = &lane;
-}
-
-void
-Core::completeL2(const cache::HierarchyResult &res, Tick boundary)
-{
-    REFSCHED_ASSERT(laneWait_ == LaneWait::L2, "no parked L2 lookup");
-    laneWait_ = LaneWait::None;
-    l2Result_ = res;
-    l2ResultReady_ = true;
-    scheduleResume(boundary);
-}
-
-void
-Core::completeFault(Tick boundary)
-{
-    REFSCHED_ASSERT(laneWait_ == LaneWait::Fault, "no parked fault");
-    laneWait_ = LaneWait::None;
-    faultResolved_ = true;
-    scheduleResume(boundary);
 }
 
 void
@@ -91,10 +65,6 @@ Core::setTask(os::Task *task, Tick runUntil)
     pendingEntry_.reset();
     pendingGap_ = 0;
     pendingMiss_.reset();
-    // Any boundary-delivered L2/fault result of the outgoing task
-    // dies with it (the epoch bump already kills its resume event).
-    l2ResultReady_ = false;
-    faultResolved_ = false;
     resumeEvent_.cancel();
 
     task_ = task;
@@ -155,7 +125,7 @@ void
 Core::scheduleResume(Tick when)
 {
     resumeEvent_.cancel();
-    resumeEvent_ = schedQ_->schedule(when, resumeCallee_, epoch_, 0);
+    resumeEvent_ = eq_.schedule(when, resumeCallee_, epoch_, 0);
 }
 
 bool
@@ -167,7 +137,6 @@ Core::flushWritebacks()
         w.type = memctrl::Request::Type::Write;
         w.coreId = id_;
         w.pid = task_ ? task_->pid() : -1;
-        w.issueTick = localTick_;
         if (!mc_.enqueue(std::move(w)))
             return false;
         pendingWritebacks_.pop_front();
@@ -236,19 +205,8 @@ Core::advance(Tick now)
         || stalledOnDependency_ || waitingRetry_) {
         return;
     }
-    if (laneMode_) {
-        // Parked for the boundary drain: only the fabric's resume
-        // may continue this core (setTask of the same task could
-        // otherwise re-enter mid-park).
-        if (laneWait_ != LaneWait::None)
-            return;
-    } else if (localTick_ < now) {
-        // Legacy: the local clock never trails the event clock.  In
-        // lane mode the core may legitimately run BEHIND wall clock
-        // after a boundary-resumed park (catch-up semantics); the
-        // clamp would inflate every parked access by up to a window.
-        localTick_ = now;
-    }
+    // The local clock never trails the event clock.
+    localTick_ = std::max(localTick_, now);
 
     auto setRetry = [this] {
         waitingRetry_ = true;
@@ -311,7 +269,6 @@ Core::advance(Tick now)
             r.type = memctrl::Request::Type::Read;
             r.coreId = id_;
             r.pid = task_->pid();
-            r.issueTick = localTick_;
             r.completion = this;
             r.cookie0 = epoch_;
             r.cookie1 = pendingMissIdx_;
@@ -365,88 +322,12 @@ Core::advance(Tick now)
 
         // --- Stage E: the memory operation (one instruction) ---
 
-        // Lane mode, continuation of a parked L1 miss: the boundary
-        // drain delivered the shared-L2 result; replay the legacy
-        // post-access arithmetic.  Placed before the robFull gate
-        // because the parked op cleared it when it issued (and
-        // outstanding_ can only have shrunk since).
-        if (laneMode_ && l2ResultReady_) {
-            l2ResultReady_ = false;
-            const auto res = l2Result_;
-            const Addr paddr = parkedL2_.paddr;
-            chargeInstructions(1);
-            ++task_->memOps;
-
-            if (!res.dramMiss && res.latency > 0) {
-                chargeCycles(static_cast<double>(res.latency)
-                             * params_.hitLatencyVisibility);
-            }
-
-            const Addr lineMask = ~(
-                static_cast<Addr>(caches_.l2().params().lineBytes)
-                - 1);
-            for (int i = 0; i < res.writebackCount; ++i)
-                pendingWritebacks_.push_back(res.writebacks[i]
-                                             & lineMask);
-
-            if (res.dramMiss) {
-                pendingMiss_ = paddr & lineMask;
-                pendingMissIdx_ = instrIdx_;
-                pendingMissSequential_ = pendingEntry_->sequential;
-                pendingMissDependent_ = pendingEntry_->dependent;
-            }
-
-            pendingEntry_.reset();
-            continue;
-        }
-
         if (robFull()) {
             if (needSync())
                 return;
             stalledOnRob_ = true;
             stallStart_ = now;
             return;
-        }
-
-        if (laneMode_) {
-            // Lane fast path: fault-free translation + private L1.
-            // An unmapped page or an L1 miss parks the core for the
-            // boundary drain; an L1 hit completes inline with the
-            // exact legacy timing (hit latency x visibility).
-            if (faultResolved_) {
-                faultResolved_ = false;
-                chargeCycles(
-                    static_cast<double>(params_.pageFaultPenalty));
-            }
-            const auto pa =
-                vm_.lookup(*task_, pendingEntry_->vaddr);
-            if (!pa) {
-                laneWait_ = LaneWait::Fault;
-                laneWaitTick_ = localTick_;
-                parkedFaultVaddr_ = pendingEntry_->vaddr;
-                return;  // resumed by ClusterFabric::completeFault
-            }
-
-            const bool isWrite = pendingEntry_->isWrite;
-            const auto l1 = caches_.l1Access(id_, *pa, isWrite);
-            if (l1.hit) {
-                chargeInstructions(1);
-                ++task_->memOps;
-                if (l1.latency > 0) {
-                    chargeCycles(static_cast<double>(l1.latency)
-                                 * params_.hitLatencyVisibility);
-                }
-                pendingEntry_.reset();
-                continue;
-            }
-
-            parkedL2_ = cache::L2Lookup{*pa, task_->pid(), isWrite,
-                                        l1.victimValid,
-                                        l1.victimDirty,
-                                        l1.victimAddr};
-            laneWait_ = LaneWait::L2;
-            laneWaitTick_ = localTick_;
-            return;  // resumed by ClusterFabric::completeL2
         }
 
         bool faulted = false;

@@ -85,43 +85,6 @@ class Core : public os::CpuContext, public Callee
     os::Task *currentTask() const { return task_; }
     const CoreParams &params() const { return params_; }
 
-    // --- Core-lane coordination (core/system, ClusterFabric) ---
-    //
-    // Under core-cluster lanes the core's events (resumes, DRAM
-    // fills) live on its cluster lane while the scheduler still
-    // drives setTask from the main lane in phase A.  An L1 miss (or
-    // an unmapped page) cannot touch the shared L2 / buddy allocator
-    // from a lane, so the core PARKS: it records the pending lookup
-    // and returns; the ClusterFabric drains all parked cores at the
-    // single-threaded window boundary in (parkTick, coreId) order
-    // and hands each its result, scheduling an epoch-guarded resume
-    // on the cluster lane at the boundary tick.
-
-    /** What the core is parked on, if anything. */
-    enum class LaneWait
-    {
-        None,
-        Fault,  ///< page not mapped; boundary runs translate()
-        L2,     ///< L1 miss; boundary runs CacheHierarchy::applyL2
-    };
-
-    /** Switch this core to lane mode, eventing on @p lane. */
-    void attachCoreLane(EventQueue &lane);
-
-    LaneWait laneWait() const { return laneWait_; }
-    /** Core-local tick at which the parked access issued. */
-    Tick laneWaitTick() const { return laneWaitTick_; }
-    const cache::L2Lookup &parkedL2() const { return parkedL2_; }
-    Addr parkedFaultVaddr() const { return parkedFaultVaddr_; }
-
-    /** Boundary drain: deliver the shared-L2 half of a parked miss
-     *  and schedule the resume at @p boundary on the cluster lane. */
-    void completeL2(const cache::HierarchyResult &res, Tick boundary);
-
-    /** Boundary drain: the parked fault has been serviced (the
-     *  fabric ran the allocating translate); resume at @p boundary. */
-    void completeFault(Tick boundary);
-
     void registerStats(StatRegistry &reg, const std::string &prefix);
 
     // --- Statistics ---
@@ -185,24 +148,11 @@ class Core : public os::CpuContext, public Callee
     };
 
     EventQueue &eq_;
-    /** Queue the core's own events live on: eq_ normally, the
-     *  cluster lane in core-lane mode. */
-    EventQueue *schedQ_;
     int id_;
     CoreParams params_;
     cache::CacheHierarchy &caches_;
     memctrl::MemoryPort &mc_;
     os::VirtualMemory &vm_;
-
-    // --- Core-lane mode state ---
-    bool laneMode_ = false;
-    LaneWait laneWait_ = LaneWait::None;
-    Tick laneWaitTick_ = 0;
-    cache::L2Lookup parkedL2_;
-    Addr parkedFaultVaddr_ = 0;
-    cache::HierarchyResult l2Result_;
-    bool l2ResultReady_ = false;
-    bool faultResolved_ = false;
 
     os::Task *task_ = nullptr;
     Tick runUntil_ = 0;

@@ -34,16 +34,6 @@ struct Request
     /** Tick the request entered the controller queue. */
     Tick enqueuedAt = 0;
 
-    /**
-     * Core-local tick at which the issuer generated the request.
-     * Under core-cluster lanes the router merges the per-core
-     * staging boxes at each window boundary by (issueTick, coreId,
-     * staging order) -- a partition-invariant key, so any cluster
-     * assignment and worker count delivers identical channel
-     * arrival order.  Unused (0) on the legacy paths.
-     */
-    Tick issueTick = 0;
-
     /** Pre-decoded DRAM coordinates (filled by the controller). */
     dram::DramCoord coord;
 

@@ -7,65 +7,28 @@
 namespace refsched::memctrl
 {
 
-ShardRouter::ShardRouter(ShardKernel &kernel, MemoryController &mc,
-                         bool shardChannels)
-    : kernel_(kernel), mc_(mc), shardChannels_(shardChannels)
+ShardRouter::ShardRouter(ShardKernel &kernel, MemoryController &mc)
+    : kernel_(kernel), mc_(mc)
 {
     const int channels = mc_.config().org.channels;
     boxes_.resize(static_cast<std::size_t>(channels));
 
-    if (shardChannels_) {
-        REFSCHED_ASSERT(kernel_.laneCount() >= channels,
-                        "kernel has fewer lanes than channels");
-        for (int ch = 0; ch < channels; ++ch)
-            mc_.setChannelLane(ch, &kernel_.lane(ch));
-    }
+    REFSCHED_ASSERT(kernel_.laneCount() >= channels,
+                    "kernel has fewer lanes than channels");
+    for (int ch = 0; ch < channels; ++ch)
+        mc_.setChannelLane(ch, &kernel_.lane(ch));
     mc_.setCompletionSink(this);
     kernel_.setBoundaryHook([this](Tick b) { onBoundary(b); });
-}
-
-void
-ShardRouter::setCoreLanes(std::vector<EventQueue *> laneOfCore)
-{
-    coreLanes_ = std::move(laneOfCore);
-    // Slot 0 holds coreId == -1 traffic (director / OS page copies),
-    // slot i + 1 holds core i.
-    coreBoxes_.assign(coreLanes_.size() + 1, {});
-}
-
-EventQueue &
-ShardRouter::channelLane(int ch)
-{
-    return shardChannels_ ? kernel_.lane(ch) : kernel_.mainLane();
-}
-
-EventQueue &
-ShardRouter::deliveryLane(int coreId)
-{
-    if (coreId >= 0 && !coreLanes_.empty())
-        return *coreLanes_[static_cast<std::size_t>(coreId)];
-    return kernel_.mainLane();
 }
 
 bool
 ShardRouter::enqueue(Request req)
 {
-    if (coreBoxes_.empty()) {
-        // Legacy channel-sharded path: main lane is the only writer,
-        // stage straight into the target channel's inbox.
-        const int ch = mc_.mapping().decompose(req.paddr).channel;
-        boxes_[static_cast<std::size_t>(ch)].inbox.push_back(
-            std::move(req));
-        return true;
-    }
-    // Core-lane path: each issuer writes only its own box (core i on
-    // its cluster lane, coreId -1 traffic on the main thread), so the
-    // parallel phase needs no locks.  Channel decomposition waits for
-    // the boundary merge.
-    const std::size_t slot = static_cast<std::size_t>(req.coreId + 1);
-    REFSCHED_ASSERT(slot < coreBoxes_.size(),
-                    "request from unknown core");
-    coreBoxes_[slot].push_back(std::move(req));
+    // The main lane is the only writer: stage straight into the
+    // target channel's inbox.
+    const int ch = mc_.mapping().decompose(req.paddr).channel;
+    boxes_[static_cast<std::size_t>(ch)].inbox.push_back(
+        std::move(req));
     return true;
 }
 
@@ -78,12 +41,12 @@ ShardRouter::requestRetryNotification(std::function<void()> cb)
 }
 
 void
-ShardRouter::complete(int channel, int coreId, Tick when,
+ShardRouter::complete(int channel, int, Tick when,
                       Callee &callee, std::uint64_t cookie0,
                       std::uint64_t cookie1)
 {
     boxes_[static_cast<std::size_t>(channel)].outbox.push_back(
-        Completion{when, coreId, &callee, cookie0, cookie1});
+        Completion{when, &callee, cookie0, cookie1});
 }
 
 void
@@ -108,41 +71,15 @@ ShardRouter::fire(Tick, std::uint64_t channel, std::uint64_t)
 void
 ShardRouter::onBoundary(Tick boundary)
 {
-    // Core-lane mode: merge the per-core staging boxes into the
-    // channel inboxes by the partition-invariant key (issueTick,
-    // coreId, staging order).  Concatenating in box (coreId) order
-    // and stable-sorting on issueTick realises exactly that key.
-    if (!coreBoxes_.empty()) {
-        mergeScratch_.clear();
-        for (auto &cb : coreBoxes_) {
-            mergeScratch_.insert(mergeScratch_.end(),
-                                 std::make_move_iterator(cb.begin()),
-                                 std::make_move_iterator(cb.end()));
-            cb.clear();
-        }
-        std::stable_sort(mergeScratch_.begin(), mergeScratch_.end(),
-                         [](const Request &a, const Request &b) {
-                             return a.issueTick < b.issueTick;
-                         });
-        for (auto &req : mergeScratch_) {
-            const int ch =
-                mc_.mapping().decompose(req.paddr).channel;
-            boxes_[static_cast<std::size_t>(ch)].inbox.push_back(
-                std::move(req));
-        }
-        mergeScratch_.clear();
-    }
-
     for (std::size_t ch = 0; ch < boxes_.size(); ++ch) {
         auto &box = boxes_[ch];
 
-        // channel -> core: read completions, in staged order, on the
-        // requesting core's lane (main lane for coreId -1 and when
-        // core lanes are off).
+        // channel -> core: read completions, in staged order, on
+        // the main lane.
         for (const auto &comp : box.outbox) {
-            deliveryLane(comp.coreId)
-                .schedule(std::max(comp.when, boundary),
-                          *comp.callee, comp.cookie0, comp.cookie1);
+            kernel_.mainLane().schedule(std::max(comp.when, boundary),
+                                        *comp.callee, comp.cookie0,
+                                        comp.cookie1);
         }
         box.outbox.clear();
 
@@ -156,7 +93,7 @@ ShardRouter::onBoundary(Tick boundary)
             box.inbox.clear();
         }
         if (!box.pending.empty() && !box.deliveryArmed) {
-            channelLane(static_cast<int>(ch))
+            kernel_.lane(static_cast<int>(ch))
                 .schedule(boundary, *this,
                           static_cast<std::uint64_t>(ch), 0);
             box.deliveryArmed = true;

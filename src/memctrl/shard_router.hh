@@ -7,33 +7,23 @@
  * the CompletionSink the controller reports into.  Both directions
  * are staged, never delivered mid-window:
  *
- *   core -> channel   enqueue() stages the request.  With the cores
- *     on the main lane (coreLanes == 0) the request goes straight
- *     into the target channel's inbox in arrival order (phase A,
- *     main lane only).  With core-cluster lanes each core stages
- *     into its PRIVATE box (its own lane in phase A', or the main
- *     thread in phase A for scheduler-driven issue; the two phases
- *     never overlap); the boundary merges all boxes by (issueTick,
- *     coreId, staging order) -- a partition-invariant key -- before
- *     bucketing per channel.  Either way the boundary moves the
+ *   core -> channel   enqueue() stages the request straight into
+ *     the target channel's inbox in arrival order (phase A: the
+ *     cores, director and serving injector all live on the main
+ *     lane, the inbox's only writer).  The boundary moves the
  *     requests onto the channel's pending list and arms a delivery
- *     event at the boundary tick on the lane the controller channel
- *     lives on (its channel lane when channels are sharded, the
- *     main lane otherwise); the delivery calls
- *     MemoryController::enqueue there.  A full controller queue
- *     bounces the request back onto the pending list -- the router
- *     retries at the next boundary and the core never sees a NACK
- *     (sharded mode has no core-side retry protocol).
+ *     event at the boundary tick on the channel's lane; the delivery
+ *     calls MemoryController::enqueue there.  A full controller
+ *     queue bounces the request back onto the pending list -- the
+ *     router retries at the next boundary and the core never sees a
+ *     NACK (sharded mode has no core-side retry protocol).
  *
  *   channel -> core   complete() stages the controller's read
- *     completion in the channel's outbox (the channel's own lane,
- *     or the main lane when channels are not sharded).  The
- *     boundary drains every outbox in channel order and schedules
- *     each completion at max(when, boundary) on the requesting
- *     core's lane (cluster lane in core-lane mode, main lane for
- *     coreId == -1 traffic and when core lanes are off); with epoch
- *     <= tCL + tBURST the max never clamps a CAS completion (see
- *     shard_kernel.hh).
+ *     completion in the channel's outbox (the channel's own lane).
+ *     The boundary drains every outbox in channel order and
+ *     schedules each completion at max(when, boundary) on the main
+ *     lane; with epoch <= tCL + tBURST the max never clamps a CAS
+ *     completion (see shard_kernel.hh).
  *
  * Each mailbox has exactly one writer phase and one reader phase,
  * separated by the kernel's barrier, so no locks are needed even
@@ -59,21 +49,11 @@ class ShardRouter final : public MemoryPort,
 {
   public:
     /**
-     * Wires itself up: installs the boundary hook on @p kernel and
-     * the completion sink on @p mc.  @p shardChannels moves each
-     * controller channel onto its own kernel lane (requires
-     * laneCount >= channels); false keeps the controller on the
-     * main lane (core-lane-only mode).
+     * Wires itself up: moves each controller channel onto its own
+     * kernel lane (requires laneCount >= channels), installs the
+     * boundary hook on @p kernel and the completion sink on @p mc.
      */
-    ShardRouter(ShardKernel &kernel, MemoryController &mc,
-                bool shardChannels = true);
-
-    /**
-     * Enable core-lane routing: requests stage per-core and read
-     * completions for core i are delivered on @p laneOfCore[i].
-     * Call before running.
-     */
-    void setCoreLanes(std::vector<EventQueue *> laneOfCore);
+    ShardRouter(ShardKernel &kernel, MemoryController &mc);
 
     // --- MemoryPort (issuing core's lane / main lane) ---
     bool enqueue(Request req) override;
@@ -97,7 +77,6 @@ class ShardRouter final : public MemoryPort,
     struct Completion
     {
         Tick when;
-        int coreId;
         Callee *callee;
         std::uint64_t cookie0;
         std::uint64_t cookie1;
@@ -111,20 +90,9 @@ class ShardRouter final : public MemoryPort,
         bool deliveryArmed = false;
     };
 
-    /** Lane the controller channel @p ch events on. */
-    EventQueue &channelLane(int ch);
-    /** Lane completions for @p coreId deliver on. */
-    EventQueue &deliveryLane(int coreId);
-
     ShardKernel &kernel_;
     MemoryController &mc_;
-    bool shardChannels_;
     std::vector<LaneBox> boxes_;
-    /** Core-lane mode: slot 0 is coreId -1 (director/OS traffic),
-     *  slot i+1 is core i.  Empty when core lanes are off. */
-    std::vector<std::vector<Request>> coreBoxes_;
-    std::vector<EventQueue *> coreLanes_;
-    std::vector<Request> mergeScratch_;
     std::vector<std::function<void()>> retryWaiters_;
 };
 

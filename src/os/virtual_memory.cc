@@ -60,25 +60,6 @@ VirtualMemory::translate(Task &task, Addr vaddr, bool *faulted)
     return (*pfn << shift) | offset;
 }
 
-std::optional<Addr>
-VirtualMemory::lookup(Task &task, Addr vaddr) const
-{
-    const unsigned shift = mapping_.pageShift();
-    const std::uint64_t vpn = vaddr >> shift;
-    const Addr offset = vaddr & ((1ULL << shift) - 1);
-
-    const std::size_t slot = vpn & (Task::kTlbEntries - 1);
-    if (task.tlbTag[slot] == vpn + 1)
-        return (task.tlbPfn[slot] << shift) | offset;
-
-    auto it = task.pageTable.find(vpn);
-    if (it == task.pageTable.end())
-        return std::nullopt;
-    task.tlbTag[slot] = vpn + 1;
-    task.tlbPfn[slot] = it->second;
-    return (it->second << shift) | offset;
-}
-
 void
 VirtualMemory::releaseTask(Task &task)
 {

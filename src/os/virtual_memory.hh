@@ -40,17 +40,6 @@ class VirtualMemory
      */
     Addr translate(Task &task, Addr vaddr, bool *faulted = nullptr);
 
-    /**
-     * Fault-free half of translate() for the core-lane fast path:
-     * resolve @p vaddr through the TLB or page table (filling the
-     * TLB exactly as translate would), or return std::nullopt when
-     * the page is unmapped.  The core then parks and the boundary
-     * drain performs the allocating translate() serially.  Safe on a
-     * cluster lane because only the owning task's TLB is written and
-     * page-table mutations happen at boundary-aligned ticks.
-     */
-    std::optional<Addr> lookup(Task &task, Addr vaddr) const;
-
     /** Release every frame owned by @p task. */
     void releaseTask(Task &task);
 

@@ -67,24 +67,13 @@ awaitValue(const std::atomic<T> &a, int spins, Ready ready)
 
 } // namespace
 
-ShardKernel::ShardKernel(EventQueue &main, int lanes, Tick epoch,
-                         int clusterLanes, Tick alignQuantum)
-    : main_(main), epoch_(epoch), align_(alignQuantum)
+ShardKernel::ShardKernel(EventQueue &main, int lanes, Tick epoch)
+    : main_(main), epoch_(epoch)
 {
-    REFSCHED_ASSERT(lanes >= 0, "negative channel lane count");
-    REFSCHED_ASSERT(clusterLanes >= 0, "negative cluster lane count");
-    REFSCHED_ASSERT(lanes + clusterLanes > 0,
-                    "sharded kernel needs >= 1 lane");
+    REFSCHED_ASSERT(lanes > 0, "sharded kernel needs >= 1 lane");
     REFSCHED_ASSERT(epoch > 0, "shard epoch must be positive");
-    REFSCHED_ASSERT(align_ >= 0, "negative alignment quantum");
     for (int i = 0; i < lanes; ++i)
         lanes_.push_back(std::make_unique<EventQueue>());
-    for (int i = 0; i < clusterLanes; ++i)
-        clusterLanes_.push_back(std::make_unique<EventQueue>());
-    for (auto &l : lanes_)
-        allLanes_.push_back(l.get());
-    for (auto &l : clusterLanes_)
-        allLanes_.push_back(l.get());
 }
 
 ShardKernel::~ShardKernel()
@@ -97,7 +86,7 @@ ShardKernel::setWorkers(int n)
 {
     REFSCHED_ASSERT(threads_.empty(),
                     "setWorkers must precede the first runUntil");
-    workers_ = std::clamp(n, 1, totalLaneCount());
+    workers_ = std::clamp(n, 1, laneCount());
 }
 
 void
@@ -107,7 +96,7 @@ ShardKernel::enableProfile()
                     "enableProfile must precede the first runUntil");
     profile_ = true;
     prof_.laneBusyMs.assign(
-        static_cast<std::size_t>(totalLaneCount()), 0.0);
+        static_cast<std::size_t>(laneCount()), 0.0);
 }
 
 void
@@ -151,7 +140,7 @@ void
 ShardKernel::runLaneRange(int first, int last)
 {
     for (int i = first; i < last; ++i)
-        allLanes_[static_cast<std::size_t>(i)]->runUntil(target_);
+        lanes_[static_cast<std::size_t>(i)]->runUntil(target_);
 }
 
 void
@@ -161,7 +150,7 @@ ShardKernel::runWorker(int workerId)
     // events always run on the same thread and successive windows
     // of one lane are ordered by the barrier alone.
     const LaneRange r =
-        workerLanes(workerId, workers_, totalLaneCount());
+        workerLanes(workerId, workers_, laneCount());
     if (!profile_) {
         runLaneRange(r.first, r.last);
         return;
@@ -200,16 +189,7 @@ ShardKernel::runUntil(Tick limit)
         // finishes exactly at `limit` (events AT limit included,
         // matching EventQueue::runUntil's contract).
         const Tick t = main_.now();
-        Tick end = std::min(t + epoch_, limit + 1);
-        if (align_ > 0) {
-            // Clamp to the smallest multiple of align_ that still
-            // yields a non-empty window (end >= t + 2, since the
-            // previous window already ran events at tick t): OS
-            // quantum expiries at n*align_ then run in phase A with
-            // every lane caught up through n*align_ - 1.
-            const Tick m = ((t + 1) / align_ + 1) * align_;
-            end = std::min(end, std::min(m, limit + 1));
-        }
+        const Tick end = std::min(t + epoch_, limit + 1);
         target_ = end - 1;
 
         ProfClock::time_point t0;
@@ -223,19 +203,18 @@ ShardKernel::runUntil(Tick limit)
         if (profile_)
             t1 = ProfClock::now();
 
-        // Phase A'/B: cluster and channel lanes, mutually
-        // independent.
+        // Phase B: the channel lanes, mutually independent.
         if (threads_.empty()) {
             if (profile_) {
-                for (int i = 0; i < totalLaneCount(); ++i) {
+                for (int i = 0; i < laneCount(); ++i) {
                     const auto l0 = ProfClock::now();
-                    allLanes_[static_cast<std::size_t>(i)]->runUntil(
+                    lanes_[static_cast<std::size_t>(i)]->runUntil(
                         target_);
                     prof_.laneBusyMs[static_cast<std::size_t>(i)] +=
                         profMs(l0, ProfClock::now());
                 }
             } else {
-                runLaneRange(0, totalLaneCount());
+                runLaneRange(0, laneCount());
             }
         } else {
             pending_.store(workers_ - 1, std::memory_order_relaxed);
@@ -283,7 +262,7 @@ std::uint64_t
 ShardKernel::executedTotal() const
 {
     std::uint64_t total = main_.executedCount();
-    for (const auto &l : allLanes_)
+    for (const auto &l : lanes_)
         total += l->executedCount();
     return total;
 }
@@ -332,7 +311,7 @@ ShardKernel::renderProfileJson(std::ostream &os) const
        << ", \"parallelMs\": " << prof_.parallelMs
        << ", \"boundaryMs\": " << prof_.boundaryMs;
     os << ", \"laneEvents\": [";
-    for (int i = 0; i < totalLaneCount(); ++i)
+    for (int i = 0; i < laneCount(); ++i)
         os << (i ? ", " : "") << laneExecuted(i);
     os << ']';
     os << ", \"laneBusyMs\": ";

@@ -1,31 +1,27 @@
 /**
  * @file
  * The sharded discrete-event kernel: one event-queue lane per DRAM
- * channel beside the main lane, synchronized at epoch boundaries,
- * plus optional core-cluster lanes that peel the CPU side off the
- * main lane.
+ * channel beside the main lane, synchronized at epoch boundaries.
  *
  * The legacy kernel interleaves every component on one EventQueue.
  * The sharded kernel splits the event population by owner:
  *
- *   lane 0 (the "main" lane, the caller's EventQueue) -- the OS
- *     scheduler, scenario director, shared L2 and virtual memory:
+ *   lane 0 (the "main" lane, the caller's EventQueue) -- the cores,
+ *     OS scheduler, scenario director, caches and virtual memory:
  *     everything that shares state with the software side.
  *   channel lanes (owned by the kernel) -- one per DRAM channel:
  *     the memory controller's per-channel clock ticks.
- *   cluster lanes (owned by the kernel) -- one per core cluster:
- *     the cores and their private L1s, when core lanes are enabled.
  *
  * Time advances in epoch windows [T, T+E).  Within a window every
  * lane runs its own events independently; anything that crosses a
  * lane boundary (a core's request entering a channel, a channel's
- * read completion returning to a core, a shared-L2 lookup) is staged
- * in a mailbox and delivered at the next window boundary, never
- * mid-window.  That makes the window execution order unobservable:
- * lanes may run sequentially in any order or concurrently on worker
- * threads and the simulation is bit-for-bit identical, because no
- * lane can read another lane's state until the single-threaded
- * boundary phase has sealed the window.
+ * read completion returning to a core) is staged in a mailbox and
+ * delivered at the next window boundary, never mid-window.  That
+ * makes the window execution order unobservable: channel lanes may
+ * run sequentially in any order or concurrently on worker threads
+ * and the simulation is bit-for-bit identical, because no lane can
+ * read another lane's state until the single-threaded boundary
+ * phase has sealed the window.
  *
  * Window phasing (runUntil):
  *
@@ -33,13 +29,9 @@
  *             Cross-lane READS that the software side performs (the
  *             refresh-aware scheduler's analytic schedule query) are
  *             safe here because the other lanes are quiescent.
- *   phase A'/B  cluster lanes and channel lanes run [T, T+E),
- *             mutually independent -- sequentially, or in parallel
- *             when workers > 1 (the caller runs worker 0's lanes).
- *             Cluster lanes may READ main-lane state that phase A
- *             only mutates at boundary-aligned ticks (the analytic
- *             refresh schedule, their own task's page table) --
- *             ordered by the pool barrier.
+ *   phase B   channel lanes run [T, T+E), mutually independent --
+ *             sequentially, or in parallel when workers > 1 (the
+ *             caller runs worker 0's lanes).
  *   phase C   barrier; the boundary hooks run single-threaded in
  *             registration order and drain the mailboxes, scheduling
  *             deliveries at >= T+E.
@@ -47,24 +39,10 @@
  * Exactness: a read CAS issued inside a window completes tCL+tBURST
  * later, so with E <= tCL+tBURST every staged completion already
  * lies at or beyond the next boundary and delivery never distorts
- * its tick.  The same argument covers the shared L2: a hit costs 20
- * CPU cycles, so with E <= that latency a lookup issued inside a
- * window cannot observably complete before the boundary.  Requests
- * travelling main->channel (and L1 misses parking for the boundary
- * L2 drain) are delivered at the boundary, adding up to E of
- * latency -- the documented approximation of sharded mode (lane and
- * worker counts never change results; the epoch length is the
- * accuracy knob).
- *
- * Alignment: when core lanes are on, OS quantum expiries and
- * scenario-director actions must observe cores that have fully
- * caught up with the previous quantum.  The kernel therefore clamps
- * every window so that each multiple of `alignQuantum` is some
- * window's boundary; the expiry event then runs in phase A right
- * after that boundary, with every lane quiescent at Q-1 -- the
- * "mailbox" for scheduler/director actions is the window structure
- * itself.  With core lanes off no clamp is applied and the phasing
- * is byte-for-byte the PR 6 kernel.
+ * its tick.  Requests travelling main->channel are delivered at the
+ * boundary, adding up to E of latency -- the documented
+ * approximation of sharded mode (lane and worker counts never
+ * change results; the epoch length is the accuracy knob).
  */
 
 #ifndef REFSCHED_SIMCORE_SHARD_KERNEL_HH
@@ -89,17 +67,11 @@ class ShardKernel
 {
   public:
     /**
-     * @p main          the system's main event queue (not owned).
-     * @p lanes         number of channel lanes to create (may be 0
-     *                  when only cluster lanes are wanted).
-     * @p epoch         window length E in ticks.
-     * @p clusterLanes  number of core-cluster lanes (0 = none).
-     * @p alignQuantum  when > 0, clamp windows so every multiple of
-     *                  this tick count is a window boundary (the OS
-     *                  quantum; only used with cluster lanes).
+     * @p main   the system's main event queue (not owned).
+     * @p lanes  number of channel lanes to create (>= 1).
+     * @p epoch  window length E in ticks.
      */
-    ShardKernel(EventQueue &main, int lanes, Tick epoch,
-                int clusterLanes = 0, Tick alignQuantum = 0);
+    ShardKernel(EventQueue &main, int lanes, Tick epoch);
     ~ShardKernel();
 
     ShardKernel(const ShardKernel &) = delete;
@@ -111,31 +83,16 @@ class ShardKernel
         return *lanes_[static_cast<std::size_t>(i)];
     }
 
-    /** Core-cluster lane @p i in [0, clusterLaneCount). */
-    EventQueue &clusterLane(int i)
-    {
-        return *clusterLanes_[static_cast<std::size_t>(i)];
-    }
-
     /** Lane 0: the caller's main event queue. */
     EventQueue &mainLane() { return main_; }
 
     int laneCount() const { return static_cast<int>(lanes_.size()); }
-    int clusterLaneCount() const
-    {
-        return static_cast<int>(clusterLanes_.size());
-    }
-    /** All kernel-owned lanes: channel + cluster. */
-    int totalLaneCount() const
-    {
-        return laneCount() + clusterLaneCount();
-    }
     Tick epoch() const { return epoch_; }
 
     /**
-     * Workers for phase A'/B, counting the caller.  1 (default) runs
+     * Workers for phase B, counting the caller.  1 (default) runs
      * the lanes sequentially on the caller's thread; n > 1 spreads
-     * them over w = min(n, totalLaneCount) workers: the caller runs
+     * them over w = min(n, laneCount) workers: the caller runs
      * worker 0's lanes and w - 1 persistent threads run the rest.
      * The worker count never affects results.  Must be set before
      * the first runUntil.
@@ -143,7 +100,7 @@ class ShardKernel
     void setWorkers(int n);
     int workers() const { return workers_; }
 
-    /** Kernel-owned lanes [first, last) of one worker. */
+    /** Channel lanes [first, last) of one worker. */
     struct LaneRange
     {
         int first;
@@ -165,8 +122,8 @@ class ShardKernel
     /**
      * Register a hook invoked single-threaded at every window
      * boundary with the boundary tick (the start of the next
-     * window).  Hooks run in registration order; the router and the
-     * cluster fabric drain their mailboxes here.  Deliveries must be
+     * window).  Hooks run in registration order; the router drains
+     * its mailboxes here.  Deliveries must be
      * scheduled at or after the boundary tick.
      */
     void setBoundaryHook(std::function<void(Tick boundary)> hook)
@@ -184,12 +141,11 @@ class ShardKernel
     /** Lifetime events executed across all lanes. */
     std::uint64_t executedTotal() const;
 
-    /** Lifetime events executed on kernel-owned lane @p i. */
+    /** Lifetime events executed on channel lane @p i. */
     std::uint64_t
     laneExecuted(int i) const
     {
-        return allLanes_[static_cast<std::size_t>(i)]
-            ->executedCount();
+        return lanes_[static_cast<std::size_t>(i)]->executedCount();
     }
 
     /**
@@ -203,7 +159,7 @@ class ShardKernel
         std::uint64_t windows = 0;   ///< windows run
         std::uint64_t barriers = 0;  ///< windows run on worker threads
         double mainMs = 0.0;      ///< phase A (main lane, alone)
-        double parallelMs = 0.0;  ///< phase A'/B span (incl. barrier)
+        double parallelMs = 0.0;  ///< phase B span (incl. barrier)
         double boundaryMs = 0.0;  ///< phase C (boundary hooks)
         /** Per-lane run time, sequential mode only (empty when
          *  workers ran the lanes). */
@@ -237,22 +193,18 @@ class ShardKernel
     void startWorkers();
     void stopWorkers();
     void workerLoop(int workerId);
-    /** Run kernel-owned lanes [first, last) up to target_. */
+    /** Run channel lanes [first, last) up to target_. */
     void runLaneRange(int first, int last);
     /** Run worker @p workerId's lanes up to target_, profiled. */
     void runWorker(int workerId);
 
     EventQueue &main_;
     std::vector<std::unique_ptr<EventQueue>> lanes_;
-    std::vector<std::unique_ptr<EventQueue>> clusterLanes_;
-    /** Channel lanes then cluster lanes, for worker partitioning. */
-    std::vector<EventQueue *> allLanes_;
     Tick epoch_;
-    Tick align_ = 0;
     int workers_ = 1;
     std::vector<std::function<void(Tick)>> boundaryHooks_;
 
-    // Phase-A'/B thread pool (workers 1..w-1; the caller is worker
+    // Phase-B thread pool (workers 1..w-1; the caller is worker
     // 0): an atomic generation barrier.  The caller sets pending_,
     // then bumps gen_ with release to publish target_ and phase C's
     // mailbox deliveries; each worker acquires gen_, runs its range

@@ -400,47 +400,31 @@ checkSystem(const FuzzSample &s, int jobs)
                  + d.describe());
     }
 
-    // Oracle: kernel partitioning is a bit-identity knob.  Within
-    // the sharded mode (shards >= 1) any worker count produces the
-    // same trace; within lane mode (coreLanes >= 1) any cluster
-    // count does.  The re-run flips the knob to a different nonzero
-    // value -- crossing into 0 would change timing mode (legacy),
-    // which is a contract boundary, not an identity.
-    const auto identityRerun = [&](const FuzzSample &alt,
-                                   const char *oracle,
-                                   const std::string &what) {
+    // Oracle: the shard (worker) count is a bit-identity knob within
+    // the sharded mode (shards >= 1).  The re-run flips it to a
+    // different nonzero value -- crossing into 0 would change timing
+    // mode (legacy), which is a contract boundary, not an identity.
+    if (s.shards >= 1) {
+        FuzzSample alt = s;
+        alt.shards = s.shards == 1 ? s.channels + 1 : 1;
+        const std::string what = "shards=" + std::to_string(s.shards)
+            + " vs shards=" + std::to_string(alt.shards);
         std::vector<TraceRecorder> again;
         try {
             runPolicyGrid(alt, jobs, again);
         } catch (const FatalError &e) {
-            fail(out, oracle,
-                 what + " re-run rejected: " + e.what());
-            return;
+            fail(out, "shards", what + " re-run rejected: " + e.what());
+            return out;
         }
         for (std::size_t i = 0; i < par.size(); ++i) {
             if (par[i].data() == again[i].data())
                 continue;
             const auto d = diffTraces(decodeTrace(par[i].data()),
                                       decodeTrace(again[i].data()));
-            fail(out, oracle,
+            fail(out, "shards",
                  core::toString(kSystemPolicies[i]) + ": " + what
                      + " trace divergence: " + d.describe());
         }
-    };
-    if (s.shards >= 1) {
-        FuzzSample alt = s;
-        alt.shards = s.shards == 1 ? s.channels + 1 : 1;
-        identityRerun(alt, "shards",
-                      "shards=" + std::to_string(s.shards)
-                          + " vs shards=" + std::to_string(alt.shards));
-    }
-    if (s.coreLanes >= 1) {
-        FuzzSample alt = s;
-        alt.coreLanes = s.coreLanes == 1 ? s.cores + 1 : 1;
-        identityRerun(alt, "lanes",
-                      "core-lanes=" + std::to_string(s.coreLanes)
-                          + " vs core-lanes="
-                          + std::to_string(alt.coreLanes));
     }
     return out;
 }

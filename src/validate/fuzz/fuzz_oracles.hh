@@ -23,10 +23,10 @@
  *    scheduler never issues a fallback or best-effort pick.
  *  - jobs: the whole policy sweep, re-run with a single worker,
  *    produces byte-identical golden traces per cell.
- *  - shards / lanes: for samples running a partitioned kernel, the
- *    sweep re-run at a different nonzero shard (worker) count or
- *    core-lane (cluster) count produces byte-identical traces per
- *    cell -- partitioning is an identity knob within its mode.
+ *  - shards: for samples running the sharded kernel, the sweep
+ *    re-run at a different nonzero shard (worker) count produces
+ *    byte-identical traces per cell -- the shard count is an
+ *    identity knob within the sharded timing mode.
  */
 
 #ifndef REFSCHED_VALIDATE_FUZZ_FUZZ_ORACLES_HH

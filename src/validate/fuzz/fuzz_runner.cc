@@ -119,12 +119,7 @@ shrinkCandidates(const FuzzSample &s)
         add(v);
     }
     // Kernel partitioning off is the simpler machine; a defect that
-    // survives shards=0 / core_lanes=0 is not a partitioning bug.
-    if (s.coreLanes != 0) {
-        auto v = s;
-        v.coreLanes = 0;
-        add(v);
-    }
+    // survives shards=0 is not a partitioning bug.
     if (s.shards != 0) {
         auto v = s;
         v.shards = 0;

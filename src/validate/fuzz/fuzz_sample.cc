@@ -85,7 +85,6 @@ FuzzSample::serialize() const
            << "warmup_quanta=" << warmupQuanta << "\n"
            << "measure_quanta=" << measureQuanta << "\n"
            << "shards=" << shards << "\n"
-           << "core_lanes=" << coreLanes << "\n"
            << "benchmarks=" << joinBenchmarks(benchmarks) << "\n";
         if (!serving.empty())
             os << "serving=" << serving << "\n";
@@ -118,8 +117,6 @@ FuzzSample::describe() const
            << ", [" << joinBenchmarks(benchmarks) << "]";
         if (shards > 0)
             os << ", shards " << shards;
-        if (coreLanes > 0)
-            os << ", core-lanes " << coreLanes;
         if (!scenario.empty()) {
             os << ", scenario(" << scenario.events.size() << " ev"
                << (scenario.migrate ? ", migrate" : "")
@@ -164,7 +161,6 @@ FuzzSample::toConfig(core::Policy policy) const
     cfg.bestEffort = bestEffort;
     cfg.banksPerTaskPerRank = banksPerTaskPerRank;
     cfg.shards = shards;
-    cfg.coreLanes = coreLanes;
     cfg.benchmarks = benchmarks;
     cfg.scenario = scenario;
     if (!serving.empty())
@@ -234,8 +230,6 @@ FuzzSample::parse(const std::string &text)
             s.measureQuanta = std::stoi(val);
         } else if (key == "shards") {
             s.shards = std::stoi(val);
-        } else if (key == "core_lanes") {
-            s.coreLanes = std::stoi(val);
         } else if (key == "benchmarks") {
             s.benchmarks = splitBenchmarks(val);
         } else if (key == "serving") {
@@ -330,15 +324,13 @@ sampleSystemOnce(Rng &rng)
         : static_cast<int>(rng.inRange(
               1, static_cast<std::uint64_t>(s.banksPerRank)));
     s.warmupQuanta = static_cast<int>(rng.inRange(0, 2));
-    // Half the samples run a partitioned kernel: channel shards,
-    // core-cluster lanes, or both, including oversubscribed counts
-    // (the kernel clamps).  The lanes/shards identity oracle then
-    // polices the partition invariants continuously.
+    // Half the samples run the sharded kernel, including
+    // oversubscribed shard counts (the kernel clamps).  The shards
+    // identity oracle then polices the partition invariant
+    // continuously.
     if (rng.bernoulli(0.5)) {
-        static constexpr int kShards[] = {0, 1, 2, 4};
-        static constexpr int kLanes[] = {0, 1, 2, 4};
+        static constexpr int kShards[] = {1, 2, 4};
         s.shards = pick(rng, kShards);
-        s.coreLanes = pick(rng, kLanes);
     }
     // Measure at least one full runqueue rotation so every task gets
     // scheduled and contributes a non-zero IPC to the harmonic mean

@@ -74,15 +74,13 @@ struct FuzzSample
     int measureQuanta = 2;
 
     /**
-     * Event-kernel partitioning (System kind).  shards > 0 runs the
-     * channel-sharded kernel, coreLanes > 0 the core-cluster lanes;
-     * both are bit-identity knobs within their mode, so the lanes/
-     * shards oracle re-runs the grid at a different partitioning and
-     * demands byte-equal traces.  Absent keys parse as 0 (legacy
-     * kernel), keeping old corpus entries valid.
+     * Event-kernel timing mode (System kind).  shards > 0 runs the
+     * channel-sharded kernel; the shard count is a bit-identity knob
+     * within that mode, so the shards oracle re-runs the grid at a
+     * different count and demands byte-equal traces.  An absent key
+     * parses as 0 (legacy kernel), keeping old corpus entries valid.
      */
     int shards = 0;
-    int coreLanes = 0;
     /** One benchmark name per task (cores * tasksPerCore). */
     std::vector<std::string> benchmarks;
 

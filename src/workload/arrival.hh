@@ -17,7 +17,7 @@
  * All randomness comes from CounterRng streams (rngstream::kArrival
  * for interarrivals, rngstream::kArrivalPhase for MMPP dwells), so
  * the generated timestamp sequence is a pure function of the seed --
- * independent of jobs/shards/core-lane partitioning and of any other
+ * independent of jobs/shards partitioning and of any other
  * generator's draw order.
  */
 

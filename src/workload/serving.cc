@@ -220,7 +220,6 @@ ServingInjector::issueLines(std::size_t slot)
         req.type = memctrl::Request::Type::Read;
         req.coreId = -1;
         req.pid = s.pid;
-        req.issueTick = eq_.now();
         req.completion = this;
         req.cookie0 = slot;
         req.cookie1 = line;

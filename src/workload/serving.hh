@@ -24,7 +24,8 @@
  * (rngstream::kServingTask / kServingAddr) and the ArrivalProcess's
  * own streams, so the injected traffic is a pure function of the
  * seed and the completion timeline -- bit-identical across
- * {jobs} x {shards} x {core-lanes} within a kernel mode.  The
+ * {jobs} x {shards} within a timing mode (legacy, or sharded with
+ * any shards >= 1).  The
  * injector lives on the main lane; in sharded mode its coreId = -1
  * requests stage through the ShardRouter onto the owning channel
  * lane at the next epoch boundary, the same path the scenario

@@ -5,11 +5,11 @@
  * count} combination WITHIN one timing mode, exactly like the stats
  * JSON (tests/validate/shard_identity_test.cc).  Sampling happens in
  * the sealed phase-C boundary hook, so the values are a pure
- * function of simulated time; the two timing modes (coreLanes == 0
- * vs >= 1) are never compared against each other, and the legacy
- * kernel (shards == 0) is checked for run-to-run determinism on its
- * own since its periodic-event driver shares no boundary grid with
- * the sharded one.
+ * function of simulated time.  Timing modes are keyed by shards
+ * alone and never compared against each other: the legacy kernel
+ * (shards == 0) is checked for run-to-run determinism on its own
+ * since its periodic-event driver shares no boundary grid with the
+ * sharded one.
  */
 
 #include <gtest/gtest.h>
@@ -31,7 +31,7 @@ namespace
 {
 
 core::SystemConfig
-telemetryConfig(int shards, int coreLanes)
+telemetryConfig(int shards)
 {
     core::SystemConfig cfg = core::makeConfig(
         "WL-1", core::Policy::CoDesign, dram::DensityGb::d32,
@@ -39,7 +39,6 @@ telemetryConfig(int shards, int coreLanes)
         /*timeScale=*/1024);
     cfg.channels = 2;
     cfg.shards = shards;
-    cfg.coreLanes = coreLanes;
     // Serving on, so the serving.* lane-0 series are exercised too.
     cfg.serving = workload::ServingConfig::parse(
         "arrival=mmpp,load=0.3,pool=4,queue=16,lines=4");
@@ -58,17 +57,16 @@ runTelemetryJsonl(const core::SystemConfig &cfg)
 }
 
 /**
- * Run every (shards, coreLanes) cell under jobs workers and return
- * the telemetry JSONL per cell, in cell order.
+ * Run every shard-count cell under jobs workers and return the
+ * telemetry JSONL per cell, in cell order.
  */
 std::vector<std::string>
-runMatrix(const std::vector<std::pair<int, int>> &cells, int jobs)
+runMatrix(const std::vector<int> &cells, int jobs)
 {
     std::vector<std::string> out(cells.size());
     std::vector<core::CellSpec> specs;
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        const core::SystemConfig cfg =
-            telemetryConfig(cells[i].first, cells[i].second);
+        const core::SystemConfig cfg = telemetryConfig(cells[i]);
         std::string *slot = &out[i];
         core::CellSpec spec;
         spec.custom = [cfg, slot] {
@@ -87,7 +85,7 @@ runMatrix(const std::vector<std::pair<int, int>> &cells, int jobs)
 }
 
 void
-expectGroupIdentical(const std::vector<std::pair<int, int>> &cells,
+expectGroupIdentical(const std::vector<int> &cells,
                      const std::string &label)
 {
     std::vector<std::string> seq, par;
@@ -108,8 +106,7 @@ expectGroupIdentical(const std::vector<std::pair<int, int>> &cells,
 
     for (std::size_t i = 0; i < cells.size(); ++i) {
         std::ostringstream what;
-        what << label << " shards=" << cells[i].first
-             << " lanes=" << cells[i].second;
+        what << label << " shards=" << cells[i];
         EXPECT_EQ(seq[0], seq[i]) << what.str() << " jobs=1";
         EXPECT_EQ(seq[0], par[i]) << what.str() << " jobs=8";
     }
@@ -117,19 +114,13 @@ expectGroupIdentical(const std::vector<std::pair<int, int>> &cells,
 
 TEST(TelemetryIdentityTest, ShardedNoLanesGroupIsByteIdentical)
 {
-    expectGroupIdentical({{1, 0}, {2, 0}}, "no-lanes");
-}
-
-TEST(TelemetryIdentityTest, LaneModeGroupIsByteIdentical)
-{
-    expectGroupIdentical({{1, 1}, {2, 1}, {1, 2}, {2, 2}},
-                         "lane-mode");
+    expectGroupIdentical({1, 2}, "sharded");
 }
 
 TEST(TelemetryIdentityTest, LegacyKernelIsDeterministic)
 {
     // shards == 0: the periodic StatDump event drives sampling.
-    const core::SystemConfig cfg = telemetryConfig(0, 0);
+    const core::SystemConfig cfg = telemetryConfig(0);
     const std::string a = runTelemetryJsonl(cfg);
     const std::string b = runTelemetryJsonl(cfg);
     EXPECT_EQ(a, b);
@@ -141,7 +132,7 @@ TEST(TelemetryIdentityTest, CsvMatchesJsonlValues)
     // Same run exported both ways: the CSV must hold exactly the
     // JSONL passes (same count, same first stamp), proving the two
     // writers read one buffer rather than resampling.
-    const core::SystemConfig cfg = telemetryConfig(2, 0);
+    const core::SystemConfig cfg = telemetryConfig(2);
     core::System sys(cfg);
     sys.run(/*warmupQuanta=*/1, /*measureQuanta=*/2);
     const auto *tel = sys.telemetry();

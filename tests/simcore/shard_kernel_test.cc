@@ -1,6 +1,6 @@
 /**
  * @file
- * The sharded kernel's phase-A'/B thread pool in isolation: the
+ * The sharded kernel's phase-B thread pool in isolation: the
  * static lane partition, the generation barrier's cross-thread
  * visibility, and worker start-up/shut-down.  Lanes carry synthetic
  * events that stamp per-lane slots; the boundary hook (phase C, on
@@ -57,8 +57,8 @@ struct WindowProbe
 {
     explicit WindowProbe(ShardKernel &k)
         : kernel(k),
-          runs(static_cast<std::size_t>(k.totalLaneCount()), 0),
-          owner(static_cast<std::size_t>(k.totalLaneCount()))
+          runs(static_cast<std::size_t>(k.laneCount()), 0),
+          owner(static_cast<std::size_t>(k.laneCount()))
     {
         scheduleAll(0);
         kernel.setBoundaryHook([this](Tick boundary) {
@@ -72,20 +72,12 @@ struct WindowProbe
         });
     }
 
-    EventQueue &
-    laneQueue(int i)
-    {
-        return i < kernel.laneCount()
-            ? kernel.lane(i)
-            : kernel.clusterLane(i - kernel.laneCount());
-    }
-
     void
     scheduleAll(Tick when)
     {
-        for (int i = 0; i < kernel.totalLaneCount(); ++i) {
+        for (int i = 0; i < kernel.laneCount(); ++i) {
             const auto idx = static_cast<std::size_t>(i);
-            laneQueue(i).schedule(when, [this, idx] {
+            kernel.lane(i).schedule(when, [this, idx] {
                 ++runs[idx];
                 owner[idx] = std::this_thread::get_id();
             });
@@ -106,10 +98,8 @@ TEST(ShardKernelTest, EveryLaneRunsOncePerWindowOnItsOwnWorker)
     constexpr Tick kWindows = 50;
     for (int lanes = 1; lanes <= 8; ++lanes) {
         for (int workers = 1; workers <= lanes; ++workers) {
-            // Split the lanes between channel and cluster lanes so
-            // the partition spans both kinds.
             EventQueue main;
-            ShardKernel k(main, (lanes + 1) / 2, kEpoch, lanes / 2);
+            ShardKernel k(main, lanes, kEpoch);
             k.setWorkers(workers);
             WindowProbe probe(k);
             k.runUntil(kEpoch * kWindows - 1);
@@ -138,13 +128,13 @@ TEST(ShardKernelTest, BoundarySeesEveryLaneWriteAcrossManyTinyWindows)
     constexpr Tick kWindows = 100000;
     for (int workers = 1; workers <= 4; ++workers) {
         EventQueue main;
-        ShardKernel k(main, 2, /*epoch=*/2, /*clusterLanes=*/2);
+        ShardKernel k(main, 4, /*epoch=*/2);
         k.setWorkers(workers);
         std::vector<Tick> stamp(4, 0);
         std::uint64_t stale = 0;
         std::uint64_t windows = 0;
         for (int i = 0; i < 4; ++i) {
-            EventQueue &q = i < 2 ? k.lane(i) : k.clusterLane(i - 2);
+            EventQueue &q = k.lane(i);
             q.schedule(1, [&stamp, &q, i] {
                 stamp[static_cast<std::size_t>(i)] = q.now();
             });
@@ -154,8 +144,7 @@ TEST(ShardKernelTest, BoundarySeesEveryLaneWriteAcrossManyTinyWindows)
             for (int i = 0; i < 4; ++i) {
                 if (stamp[static_cast<std::size_t>(i)] != boundary - 1)
                     ++stale;
-                EventQueue &q =
-                    i < 2 ? k.lane(i) : k.clusterLane(i - 2);
+                EventQueue &q = k.lane(i);
                 q.schedule(boundary, [&stamp, &q, i] {
                     stamp[static_cast<std::size_t>(i)] = q.now();
                 });
@@ -176,7 +165,7 @@ TEST(ShardKernelTest, RepeatedConstructDestroyStopsParkedAndSpinningWorkers)
         // the workers still spin; rounds 2-3 let them park first.
         const bool park = round % 4 >= 2;
         EventQueue main;
-        ShardKernel k(main, 3, /*epoch=*/5, /*clusterLanes=*/1);
+        ShardKernel k(main, 4, /*epoch=*/5);
         k.setWorkers(4);
         if (profile)
             k.enableProfile();

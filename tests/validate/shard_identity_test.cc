@@ -1,20 +1,16 @@
 /**
  * @file
- * Differential determinism proof for the sharded event kernel and
- * the core-cluster lanes stacked on it.
+ * Differential determinism proof for the sharded event kernel.
  *
- * Two timing modes exist by contract (SystemConfig::coreLanes):
- * coreLanes == 0 is the untouched legacy kernel; coreLanes >= 1 is
- * the lane-mode kernel, whose simulated timing (stats JSON) is
- * bit-identical for EVERY lane count x shard count x worker count
- * x jobs count (cluster assignment and worker scheduling are
- * partition invariants, enforced by the boundary merge keys).  The
- * two modes differ slightly from each other -- lane mode quantises
- * shared-L2 walks and DRAM hand-offs to window boundaries -- so
- * comparisons never cross them.  Golden traces additionally group
- * on shards == 0 vs shards >= 1 within each mode: channel sharding
- * moves controller events onto channel lanes, which permutes
- * same-tick record order without moving any event's tick.
+ * Two timing modes exist by contract, keyed by SystemConfig::shards
+ * alone: shards == 0 is the untouched legacy kernel; shards >= 1 is
+ * the sharded kernel, whose simulated timing (stats JSON) and golden
+ * trace are bit-identical for EVERY shard count x worker count x
+ * jobs count (worker scheduling is a partition invariant, enforced
+ * by the window barrier and the boundary mailboxes).  The two modes
+ * differ slightly from each other -- the sharded kernel hands DRAM
+ * requests to their channel at window boundaries -- so comparisons
+ * never cross them.
  *
  * Compared artifacts: the full golden trace (every DRAM command,
  * scheduler pick, and page movement at its tick) and the stats-JSON
@@ -41,8 +37,7 @@ namespace
 {
 
 core::SystemConfig
-shardedConfig(int channels, int shards, int coreLanes = 0,
-              int numCores = 2)
+shardedConfig(int channels, int shards, int numCores = 2)
 {
     core::SystemConfig cfg = core::makeConfig(
         "WL-1", core::Policy::CoDesign, dram::DensityGb::d32,
@@ -50,7 +45,6 @@ shardedConfig(int channels, int shards, int coreLanes = 0,
         /*timeScale=*/1024);
     cfg.channels = channels;
     cfg.shards = shards;
-    cfg.coreLanes = coreLanes;
     return cfg;
 }
 
@@ -94,11 +88,9 @@ runOne(const core::SystemConfig &cfg, bool withProbe)
 }
 
 ShardRun
-runSharded(int channels, int shards, bool withProbe,
-           int coreLanes = 0)
+runSharded(int channels, int shards, bool withProbe)
 {
-    return runOne(shardedConfig(channels, shards, coreLanes),
-                  withProbe);
+    return runOne(shardedConfig(channels, shards), withProbe);
 }
 
 void
@@ -150,17 +142,16 @@ TEST(ShardIdentityTest, SingleChannelShardedIsDeterministic)
 }
 
 /**
- * Run one (shards, coreLanes) cell per grid entry under a
- * ParallelRunner worker pool, tracing each.
+ * Run one shard-count cell per grid entry under a ParallelRunner
+ * worker pool, tracing each.
  */
 std::vector<ShardRun>
-runMatrix(const std::vector<std::pair<int, int>> &cells, int jobs)
+runMatrix(const std::vector<int> &cells, int jobs)
 {
     std::vector<ShardRun> runs(cells.size());
     std::vector<core::CellSpec> specs;
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        const core::SystemConfig cfg =
-            shardedConfig(2, cells[i].first, cells[i].second);
+        const core::SystemConfig cfg = shardedConfig(2, cells[i]);
         ShardRun *out = &runs[i];
         core::CellSpec spec;
         spec.custom = [cfg, out] {
@@ -180,103 +171,39 @@ runMatrix(const std::vector<std::pair<int, int>> &cells, int jobs)
     return runs;
 }
 
-TEST(ShardIdentityTest, CoreLaneMatrixIdenticalAcrossShardsLanesJobs)
-{
-    // The full lane-mode identity matrix: {shards 0,1,2} x
-    // {core-lanes 1,2,8} x {jobs 1,8}.  Lanes=8 on the 2-core
-    // config also exercises the oversubscription clamp (effective
-    // lanes = numCores = 2).
-    //
-    // Stats JSON is byte-identical across the ENTIRE matrix: in
-    // lane mode the router stages per-core boxes and hands them to
-    // the controller at window boundaries whether or not the
-    // channels are additionally sharded, so simulated timing does
-    // not depend on shards at all.  The golden trace splits into
-    // two groups on shards==0 vs shards>=1 -- channel sharding
-    // moves the controller's events onto channel lanes, which
-    // reorders same-tick trace RECORDS (phase A vs phase B emission
-    // order) without moving any event's tick.  The same record-
-    // order split exists in the PR 6 seed for coreLanes == 0.
-    std::vector<std::pair<int, int>> cells;
-    for (int shards : {0, 1, 2})
-        for (int lanes : {1, 2, 8})
-            cells.emplace_back(shards, lanes);
-
-    const std::vector<ShardRun> seq = runMatrix(cells, /*jobs=*/1);
-    const std::vector<ShardRun> par = runMatrix(cells, /*jobs=*/8);
-
-    const ShardRun &ref = seq[0];
-    EXPECT_GT(ref.traceEvents, 0u);
-    // Trace reference for the shards>=1 subgroup: the first cell
-    // with shards == 1 (lanes=1, jobs=1).
-    const ShardRun *shardedRef = nullptr;
-    for (std::size_t i = 0; i < cells.size(); ++i)
-        if (cells[i].first >= 1) {
-            shardedRef = &seq[i];
-            break;
-        }
-    ASSERT_NE(shardedRef, nullptr);
-
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        std::ostringstream what;
-        what << "shards=" << cells[i].first
-             << " lanes=" << cells[i].second;
-        const ShardRun &traceRef =
-            cells[i].first == 0 ? ref : *shardedRef;
-        expectSameRun(traceRef, seq[i], what.str() + " jobs=1");
-        expectSameRun(traceRef, par[i], what.str() + " jobs=8");
-        // Stats cross the trace groups: identical matrix-wide.
-        EXPECT_EQ(ref.statsJson, seq[i].statsJson) << what.str();
-        EXPECT_EQ(ref.statsJson, par[i].statsJson) << what.str();
-    }
-}
-
 TEST(ShardIdentityTest, LegacyLaneZeroIdenticalAcrossShardsAndJobs)
 {
-    // coreLanes == 0 keeps the PR 6 seed contract: shards >= 1 is
-    // one identity group (any worker count, any jobs count), and
+    // The identity matrix {shards 0,1,2,8} x {jobs 1,8}: shards >= 1
+    // is one identity group (any worker count -- shards=8 on two
+    // channels also exercises the clamp -- and any jobs count), and
     // shards == 0 (no shard kernel at all) is its own deterministic
     // group.
-    std::vector<std::pair<int, int>> cells = {
-        {0, 0}, {1, 0}, {2, 0}};
+    const std::vector<int> cells = {0, 1, 2, 8};
     const std::vector<ShardRun> seq = runMatrix(cells, /*jobs=*/1);
     const std::vector<ShardRun> par = runMatrix(cells, /*jobs=*/8);
     EXPECT_GT(seq[0].traceEvents, 0u);
     for (std::size_t i = 0; i < cells.size(); ++i) {
         std::ostringstream what;
-        what << "legacy shards=" << cells[i].first;
-        const ShardRun &ref = cells[i].first == 0 ? seq[0] : seq[1];
+        what << "shards=" << cells[i];
+        const ShardRun &ref = cells[i] == 0 ? seq[0] : seq[1];
         expectSameRun(ref, seq[i], what.str() + " jobs=1");
         expectSameRun(ref, par[i], what.str() + " jobs=8");
     }
 }
 
-TEST(ShardIdentityTest, ThreadedCoreLanePoolMatchesSequential)
-{
-    // No probe: lanes and channel shards really run on worker
-    // threads (workers = shards + effective lanes).  Stats must
-    // match the minimal one-worker run.
-    const ShardRun one =
-        runSharded(2, /*shards=*/0, false, /*coreLanes=*/1);
-    const ShardRun pool =
-        runSharded(2, /*shards=*/2, false, /*coreLanes=*/2);
-    EXPECT_FALSE(one.statsJson.empty());
-    EXPECT_EQ(one.statsJson, pool.statsJson);
-}
-
 TEST(ShardIdentityTest, LaneIdentityHoldsOnEveryRefreshPolicy)
 {
-    // The async (boundary-ordered) L2 and fill delivery must stay a
+    // Boundary-staged request and fill delivery must stay a worker
     // partition invariant under every refresh scheduler, since each
-    // policy shifts DRAM completion times differently.  Threaded
-    // (no probe), lanes=1 vs lanes=2 per policy.
+    // policy shifts DRAM completion times differently.  No probe:
+    // shards=1 runs the channel lanes inline, shards=2 on threads.
     for (core::Policy p :
          {core::Policy::NoRefresh, core::Policy::AllBank,
           core::Policy::PerBank, core::Policy::PerBankOoo,
           core::Policy::Adaptive, core::Policy::CoDesign}) {
-        core::SystemConfig a = shardedConfig(2, 0, /*coreLanes=*/1);
+        core::SystemConfig a = shardedConfig(2, /*shards=*/1);
         a.applyPolicy(p);
-        core::SystemConfig b = shardedConfig(2, 0, /*coreLanes=*/2);
+        core::SystemConfig b = shardedConfig(2, /*shards=*/2);
         b.applyPolicy(p);
         const ShardRun ra = runOne(a, false);
         const ShardRun rb = runOne(b, false);
@@ -290,26 +217,24 @@ TEST(ServingIdentityTest, OpenLoopInjectionIdenticalAcrossPartitionings)
 {
     // Open-loop serving arrivals land on the main lane and their
     // line requests route to owning channel lanes; both sides must
-    // stay partition invariants.  Lane-mode identity group:
-    // {shards 1,2} x {core-lanes 1,2} x {jobs 1,8} byte-identical
-    // stats (which include every serving.* histogram), plus the
-    // legacy kernel (shards=0, lanes=0) deterministic on its own.
-    auto servingCfg = [](int shards, int lanes) {
-        core::SystemConfig cfg = shardedConfig(2, shards, lanes);
+    // stay partition invariants.  Sharded identity group:
+    // {shards 1,2} x {jobs 1,8} byte-identical stats (which include
+    // every serving.* histogram), plus the legacy kernel (shards=0)
+    // deterministic on its own.
+    auto servingCfg = [](int shards) {
+        core::SystemConfig cfg = shardedConfig(2, shards);
         cfg.serving = workload::ServingConfig::parse(
             "arrival=mmpp,load=0.3,pool=4,queue=16,lines=4");
         return cfg;
     };
 
-    std::vector<std::pair<int, int>> cells = {
-        {1, 1}, {2, 1}, {1, 2}, {2, 2}};
+    const std::vector<int> cells = {1, 2};
     std::vector<ShardRun> seq, par;
     for (int jobs : {1, 8}) {
         std::vector<ShardRun> runs(cells.size());
         std::vector<core::CellSpec> specs;
         for (std::size_t i = 0; i < cells.size(); ++i) {
-            const core::SystemConfig cfg =
-                servingCfg(cells[i].first, cells[i].second);
+            const core::SystemConfig cfg = servingCfg(cells[i]);
             ShardRun *out = &runs[i];
             core::CellSpec spec;
             spec.custom = [cfg, out] {
@@ -332,8 +257,7 @@ TEST(ServingIdentityTest, OpenLoopInjectionIdenticalAcrossPartitionings)
               std::string::npos);
     for (std::size_t i = 0; i < cells.size(); ++i) {
         std::ostringstream what;
-        what << "serving shards=" << cells[i].first
-             << " lanes=" << cells[i].second;
+        what << "serving shards=" << cells[i];
         EXPECT_EQ(seq[0].statsJson, seq[i].statsJson)
             << what.str() << " jobs=1";
         EXPECT_EQ(seq[0].statsJson, par[i].statsJson)
@@ -341,7 +265,7 @@ TEST(ServingIdentityTest, OpenLoopInjectionIdenticalAcrossPartitionings)
     }
 
     // Legacy kernel with serving: deterministic run-to-run.
-    const core::SystemConfig legacy = servingCfg(0, 0);
+    const core::SystemConfig legacy = servingCfg(0);
     const ShardRun a = runOne(legacy, false);
     const ShardRun b = runOne(legacy, false);
     EXPECT_EQ(a.statsJson, b.statsJson);
@@ -349,14 +273,13 @@ TEST(ServingIdentityTest, OpenLoopInjectionIdenticalAcrossPartitionings)
               std::string::npos);
 }
 
-TEST(ShardIdentityTest, ScenarioChurnMigrationCrossesClusters)
+TEST(ShardIdentityTest, ScenarioChurnMigrationIdenticalAcrossShards)
 {
-    // Tenant churn + page migration on a 4-core system whose lane
-    // clusters are {0,1} and {2,3} (lanes=2) or one core each
-    // (lanes=4): spawns pinned to cores 0 and 3 land in different
-    // clusters, the kill + re-binpack strands pages, and migration
-    // traffic crosses cluster boundaries.  All lane counts must
-    // produce the same golden trace.
+    // Tenant churn + page migration on a 4-core system: spawns
+    // pinned to cores 0 and 3, the kill + re-binpack strands pages,
+    // and migration copy traffic stages through the router onto
+    // both channel lanes.  All shard counts must produce the same
+    // golden trace.
     workload::ScenarioScript script;
     {
         workload::ScenarioEvent spawn;
@@ -379,9 +302,9 @@ TEST(ShardIdentityTest, ScenarioChurnMigrationCrossesClusters)
     script.reassignOnChurn = true;
 
     std::vector<ShardRun> runs;
-    for (int lanes : {1, 2, 4}) {
+    for (int shards : {1, 2, 4}) {
         core::SystemConfig cfg =
-            shardedConfig(2, /*shards=*/2, lanes, /*numCores=*/4);
+            shardedConfig(2, shards, /*numCores=*/4);
         cfg.scenario = script;
         core::System sys(cfg);
         TraceRecorder rec;
@@ -395,8 +318,8 @@ TEST(ShardIdentityTest, ScenarioChurnMigrationCrossesClusters)
         runs.push_back(std::move(r));
     }
     EXPECT_GT(runs[0].traceEvents, 0u);
-    expectSameRun(runs[0], runs[1], "scenario lanes=1 vs lanes=2");
-    expectSameRun(runs[0], runs[2], "scenario lanes=1 vs lanes=4");
+    expectSameRun(runs[0], runs[1], "scenario shards=1 vs shards=2");
+    expectSameRun(runs[0], runs[2], "scenario shards=1 vs shards=4");
 }
 
 } // namespace

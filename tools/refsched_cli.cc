@@ -44,8 +44,6 @@ struct CliOptions
     int channels = 1;
     int shards = 0;
     Tick shardEpoch = 0;  // 0 keeps the config default
-    int coreLanes = 0;
-    Tick coreEpoch = 0;   // 0 keeps the config default
     unsigned timeScale = 128;
     int warmupQuanta = 8;
     int measureQuanta = 16;
@@ -131,15 +129,7 @@ usage(const char *argv0, const std::string &error = "")
         << "                         N phase-B workers (0 = legacy "
            "kernel, default)\n"
         << "  --shard-epoch PS       sharded-kernel window length "
-           "(default 15000)\n"
-        << "  --core-lanes N         core-cluster lanes: cores run "
-           "in N parallel\n"
-        << "                         clusters (clamped to cores; 0 = "
-           "off, default).\n"
-        << "                         Results are identical for every "
-           "N >= 1\n"
-        << "  --core-epoch PS        core-lane window length "
-           "(default 5000)\n\n"
+           "(default 15000)\n\n"
         << "output:\n"
         << "  --dump-stats           print every registered stat\n"
         << "  --csv                  per-task table as CSV\n"
@@ -229,11 +219,6 @@ parse(int argc, char **argv)
         } else if (a == "--shard-epoch") {
             o.shardEpoch = static_cast<Tick>(
                 std::strtoull(need(i), nullptr, 10));
-        } else if (a == "--core-lanes") {
-            o.coreLanes = std::atoi(need(i));
-        } else if (a == "--core-epoch") {
-            o.coreEpoch = static_cast<Tick>(
-                std::strtoull(need(i), nullptr, 10));
         } else if (a == "--tasks-per-core") {
             o.tasksPerCore = std::atoi(need(i));
         } else if (a == "--banks-per-task") {
@@ -314,9 +299,6 @@ buildConfig(const CliOptions &o, const char *argv0)
     cfg.shards = o.shards;
     if (o.shardEpoch > 0)
         cfg.shardEpoch = o.shardEpoch;
-    cfg.coreLanes = o.coreLanes;
-    if (o.coreEpoch > 0)
-        cfg.coreLaneEpoch = o.coreEpoch;
 
     if (!o.partition.empty()) {
         if (o.partition == "soft")

@@ -68,7 +68,7 @@ telemetry_smoke() {
     mkdir -p "$out"
     echo "--- ${dir}: --telemetry sampled export (threaded kernel) ---"
     "./$dir/tools/refsched_cli" --policy co-design --workload WL-5 \
-        --scale 1024 --channels 2 --shards 2 --core-lanes 2 \
+        --scale 1024 --channels 2 --shards 2 \
         --warmup 1 --measure 8 --seed 7 \
         --serving "arrival=mmpp,load=0.4,pool=4,queue=16,lines=4" \
         --telemetry "$out/telemetry.jsonl" \
@@ -130,28 +130,6 @@ mkdir -p build-tsan/shard-smoke
 ./build-tsan/tools/refsched_cli --policy co-design --workload WL-5 \
     --channels 2 --shards 2 --warmup 1 --measure 4 --seed 7 \
     --stats-json build-tsan/shard-smoke/sh2.stats.json >/dev/null
-echo "=== tsan: core-lane CLI run (cluster lanes on worker threads) ==="
-# Core-cluster lanes put every core's issue loop and L1 on its own
-# worker thread concurrently with the channel lanes -- the widest
-# threaded surface in the kernel.  Stats-only for the same reason as
-# above: a probe would force workers=1.
-./build-tsan/tools/refsched_cli --policy co-design --workload WL-5 \
-    --channels 2 --shards 2 --core-lanes 2 --warmup 1 --measure 4 \
-    --seed 7 \
-    --stats-json build-tsan/shard-smoke/cl2.stats.json >/dev/null
-echo "=== tsan: core-lane scenario run (churn crossing clusters) ==="
-# Churn + migration while cluster lanes run: spawns/kills re-home
-# tasks across clusters at quantum boundaries, and migration copy
-# traffic crosses the per-core staging boxes.
-./build-tsan/tools/refsched_cli --policy co-design \
-    --benchmarks GemsFDTD,stream,GemsFDTD,npb_ua --cores 2 \
-    --tasks-per-core 2 \
-    --density 32 --scale 1024 --channels 2 --core-lanes 2 \
-    --warmup 0 --measure 24 --seed 1 \
-    --scenario tests/validate/data/adversarial_colocation.scenario \
-    --validate \
-    --stats-json build-tsan/shard-smoke/cl-scenario.stats.json \
-    >/dev/null
 echo "=== tsan: sharded scenario run (migration on worker threads) ==="
 # Migration copy completions route through the sharded kernel's main
 # lane; churn while phase-B workers drain the channel lanes is the
@@ -163,20 +141,20 @@ echo "=== tsan: sharded scenario run (migration on worker threads) ==="
     --scenario tests/validate/data/adversarial_colocation.scenario \
     --validate \
     --stats-json build-tsan/shard-smoke/scenario.stats.json >/dev/null
-echo "=== tsan: serving on the partitioned kernel (worker threads) ==="
+echo "=== tsan: serving on the sharded kernel (worker threads) ==="
 # Serving arrivals stage on the main lane while channel lanes
 # complete the per-line reads and write the per-line blocked flags
 # concurrently -- the exact cross-lane surface the flat byte array
 # exists for.  Stats-only (a probe would force workers=1).
 ./build-tsan/tools/refsched_cli --policy co-design --workload WL-5 \
-    --scale 1024 --channels 2 --shards 2 --core-lanes 2 \
+    --scale 1024 --channels 2 --shards 2 \
     --warmup 0 --measure 24 --seed 7 \
     --serving "arrival=mmpp,load=1.6,pool=8,queue=64,lines=4" \
     --stats-json build-tsan/shard-smoke/serving.stats.json >/dev/null
 echo "=== tsan: telemetry on the threaded kernel (boundary sampling) ==="
 # Telemetry is the one observability consumer that keeps phase-B
-# workers threaded: the boundary hook reads channel/core counters
-# that worker threads wrote moments earlier, and the self-profiler
+# workers threaded: the boundary hook reads channel counters that
+# worker threads wrote moments earlier, and the self-profiler
 # reads worker finish stamps across the barrier -- both are ordering
 # claims TSan can falsify.
 telemetry_smoke build-tsan

@@ -9,6 +9,10 @@
 #   stats JSON  compared minus the selfProfile line, the only
 #               host-wall-clock field in the document
 #
+# shards=0 is the legacy kernel -- the other timing mode, so it is
+# not compared against the sharded runs; instead it is run twice and
+# checked for byte-exact reproducibility.
+#
 # Usage (see tools/CMakeLists.txt):
 #   cmake -DCLI=<refsched_cli> -DOUT=<dir> -P shard_smoke.cmake
 
@@ -20,7 +24,7 @@ endforeach()
 
 file(MAKE_DIRECTORY "${OUT}")
 
-foreach(shards 1 2 8)
+foreach(shards 0 1 2 8)
     execute_process(
         COMMAND "${CLI}" --policy co-design --workload WL-5
             --channels 2 --shards ${shards}
@@ -57,6 +61,29 @@ foreach(shards 2 8)
             "timeline diverges: shards=1 vs shards=${shards}")
     endif()
 endforeach()
+
+# Legacy reproducibility: a second shards=0 run must agree exactly.
+execute_process(
+    COMMAND "${CLI}" --policy co-design --workload WL-5
+        --channels 2 --shards 0
+        --warmup 2 --measure 8 --seed 7
+        --timeline "${OUT}/sh0b.timeline.json"
+        --stats-json "${OUT}/sh0b.stats.json"
+    RESULT_VARIABLE rc
+    OUTPUT_QUIET)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "refsched_cli --shards 0 rerun failed (rc=${rc})")
+endif()
+read_stats_stripped("${OUT}/sh0.stats.json" stats0a)
+read_stats_stripped("${OUT}/sh0b.stats.json" stats0b)
+if(NOT stats0a STREQUAL stats0b)
+    message(FATAL_ERROR "legacy (shards=0) stats not reproducible")
+endif()
+file(READ "${OUT}/sh0.timeline.json" tl0a)
+file(READ "${OUT}/sh0b.timeline.json" tl0b)
+if(NOT tl0a STREQUAL tl0b)
+    message(FATAL_ERROR "legacy (shards=0) timeline not reproducible")
+endif()
 
 # The exports must not be trivially empty for the identity to mean
 # anything.

@@ -1,11 +1,9 @@
 # ctest driver for the sampled-telemetry subsystem: run the same
-# 2-channel co-design cell with --telemetry across the shard counts
-# of both timing groups and assert
+# 2-channel co-design cell with --telemetry on the sharded kernel
+# and assert
 #
 #   identity     the telemetry JSONL is byte-identical for shards
-#                1 vs 2 at core-lanes 0, and again at core-lanes 2
-#                (the two groups are distinct timing modes and are
-#                NOT compared against each other)
+#                1 vs 2
 #   timeline     the merged counter tracks pass timeline_check's
 #                schema + counter validation with samples present
 #   self-profile the stats JSON carries the kernel self-profiler
@@ -25,43 +23,38 @@ endforeach()
 
 file(MAKE_DIRECTORY "${OUT}")
 
-foreach(lanes 0 2)
-    foreach(shards 1 2)
-        set(tag "l${lanes}sh${shards}")
-        execute_process(
-            COMMAND "${CLI}" --policy co-design --workload WL-5
-                --channels 2 --shards ${shards} --core-lanes ${lanes}
-                --warmup 2 --measure 8 --seed 7
-                --telemetry "${OUT}/${tag}.telemetry.jsonl"
-                --timeline "${OUT}/${tag}.timeline.json"
-                --stats-json "${OUT}/${tag}.stats.json"
-            RESULT_VARIABLE rc
-            OUTPUT_QUIET)
-        if(NOT rc EQUAL 0)
-            message(FATAL_ERROR
-                "refsched_cli --telemetry ${tag} failed (rc=${rc})")
-        endif()
-    endforeach()
+foreach(shards 1 2)
+    set(tag "sh${shards}")
+    execute_process(
+        COMMAND "${CLI}" --policy co-design --workload WL-5
+            --channels 2 --shards ${shards}
+            --warmup 2 --measure 8 --seed 7
+            --telemetry "${OUT}/${tag}.telemetry.jsonl"
+            --timeline "${OUT}/${tag}.timeline.json"
+            --stats-json "${OUT}/${tag}.stats.json"
+        RESULT_VARIABLE rc
+        OUTPUT_QUIET)
+    if(NOT rc EQUAL 0)
+        message(FATAL_ERROR
+            "refsched_cli --telemetry ${tag} failed (rc=${rc})")
+    endif()
 endforeach()
 
-# Byte-identity within each timing group.
-foreach(lanes 0 2)
-    file(READ "${OUT}/l${lanes}sh1.telemetry.jsonl" tel1)
-    file(READ "${OUT}/l${lanes}sh2.telemetry.jsonl" tel2)
-    if(NOT tel1 STREQUAL tel2)
-        message(FATAL_ERROR
-            "telemetry diverges: lanes=${lanes} shards=1 vs 2")
-    endif()
-    string(LENGTH "${tel1}" tel_len)
-    if(tel_len LESS 500)
-        message(FATAL_ERROR
-            "telemetry export suspiciously small (${tel_len} B)")
-    endif()
-endforeach()
+# Byte-identity within the sharded timing mode.
+file(READ "${OUT}/sh1.telemetry.jsonl" tel1)
+file(READ "${OUT}/sh2.telemetry.jsonl" tel2)
+if(NOT tel1 STREQUAL tel2)
+    message(FATAL_ERROR "telemetry diverges: shards=1 vs 2")
+endif()
+string(LENGTH "${tel1}" tel_len)
+if(tel_len LESS 500)
+    message(FATAL_ERROR
+        "telemetry export suspiciously small (${tel_len} B)")
+endif()
 
 # The merged counter tracks must validate, and samples must be there.
 execute_process(
-    COMMAND "${CHECK}" "${OUT}/l0sh1.timeline.json"
+    COMMAND "${CHECK}" "${OUT}/sh1.timeline.json"
     RESULT_VARIABLE rc
     OUTPUT_VARIABLE check_out)
 if(NOT rc EQUAL 0)
@@ -76,7 +69,7 @@ if(NOT check_out MATCHES "counter samples")
 endif()
 
 # Kernel self-profiler rides along whenever telemetry runs sharded.
-file(READ "${OUT}/l0sh2.stats.json" stats)
+file(READ "${OUT}/sh2.stats.json" stats)
 foreach(key "\"windows\"" "\"parallelMs\"" "\"imbalance\"")
     if(NOT stats MATCHES "${key}")
         message(FATAL_ERROR
