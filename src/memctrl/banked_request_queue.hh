@@ -23,7 +23,6 @@
 #ifndef REFSCHED_MEMCTRL_BANKED_REQUEST_QUEUE_HH
 #define REFSCHED_MEMCTRL_BANKED_REQUEST_QUEUE_HH
 
-#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -43,9 +42,9 @@ class BankedRequestQueue
         : nodes_(capacity),
           bankHead_(static_cast<std::size_t>(banks), kNone),
           bankTail_(static_cast<std::size_t>(banks), kNone),
-          bankCount_(static_cast<std::size_t>(banks), 0),
-          occupied_((static_cast<std::size_t>(banks) + 63) / 64, 0)
+          bankCount_(static_cast<std::size_t>(banks), 0)
     {
+        REFSCHED_ASSERT(banks <= 64, "ready-bank mask holds 64 banks");
         for (std::size_t i = 0; i < capacity; ++i) {
             nodes_[i].nextFree = i + 1 < capacity
                 ? static_cast<std::uint32_t>(i + 1)
@@ -95,10 +94,8 @@ class BankedRequestQueue
             head = idx;
         tail = idx;
 
-        if (bankCount_[static_cast<std::size_t>(bank)]++ == 0) {
-            occupied_[static_cast<std::size_t>(bank) / 64] |=
-                1ULL << (static_cast<std::size_t>(bank) % 64);
-        }
+        if (bankCount_[static_cast<std::size_t>(bank)]++ == 0)
+            occupied_ |= 1ULL << bank;
         ++size_;
         return idx;
     }
@@ -128,10 +125,8 @@ class BankedRequestQueue
         else
             bankTail_[static_cast<std::size_t>(bank)] = n.bankPrev;
 
-        if (--bankCount_[static_cast<std::size_t>(bank)] == 0) {
-            occupied_[static_cast<std::size_t>(bank) / 64] &=
-                ~(1ULL << (static_cast<std::size_t>(bank) % 64));
-        }
+        if (--bankCount_[static_cast<std::size_t>(bank)] == 0)
+            occupied_ &= ~(1ULL << bank);
 
         n.req = Request{};  // clear the completion record
         n.nextFree = freeHead_;
@@ -148,11 +143,6 @@ class BankedRequestQueue
 
     /** Oldest queued request, or kNone. */
     std::uint32_t front() const { return ageHead_; }
-    std::uint32_t
-    nextInAge(std::uint32_t slot) const
-    {
-        return nodes_[slot].ageNext;
-    }
 
     /** Oldest request for @p bank, or kNone. */
     std::uint32_t
@@ -167,54 +157,13 @@ class BankedRequestQueue
     }
 
     /**
-     * True iff any of the @p count banks starting at @p first has a
-     * queued request.  Tests the ready-bank bitmask words directly,
-     * so a rank-wide probe (e.g. all-bank refresh arbitration over
-     * 16 banks) is one or two word operations instead of a per-bank
-     * count loop.
-     */
-    bool
-    anyOccupiedInRange(int first, int count) const
-    {
-        const std::size_t lo = static_cast<std::size_t>(first);
-        const std::size_t hi = lo + static_cast<std::size_t>(count);
-        REFSCHED_ASSERT(count >= 0 && hi <= bankCount_.size(),
-                        "bank range out of bounds");
-        for (std::size_t w = lo / 64; w * 64 < hi; ++w) {
-            std::uint64_t mask = ~0ULL;
-            if (w == lo / 64)
-                mask &= ~0ULL << (lo % 64);
-            if (hi < (w + 1) * 64)
-                mask &= (1ULL << (hi % 64)) - 1;
-            if (occupied_[w] & mask)
-                return true;
-        }
-        return false;
-    }
-
-    /**
-     * First word of the ready-bank bitmask (banks 0..63).  The
-     * word-scan issue passes intersect this with the controller's
-     * open-row and row-hit masks; the controller asserts at
+     * The ready-bank bitmask: bit b set iff bank b has a queued
+     * request.  The word-scan issue passes intersect it with the
+     * controller's open-row and row-hit masks, and refresh
+     * arbitration with its target banks; the controller asserts at
      * construction that a channel has at most 64 banks.
      */
-    std::uint64_t occupiedWord() const { return occupied_[0]; }
-
-    /** Invoke @p fn(bank) for every bank with queued requests, in
-     *  ascending bank order. */
-    template <typename Fn>
-    void
-    forEachOccupiedBank(Fn &&fn) const
-    {
-        for (std::size_t w = 0; w < occupied_.size(); ++w) {
-            std::uint64_t word = occupied_[w];
-            while (word != 0) {
-                const int bit = std::countr_zero(word);
-                word &= word - 1;
-                fn(static_cast<int>(w * 64) + bit);
-            }
-        }
-    }
+    std::uint64_t occupiedWord() const { return occupied_; }
 
   private:
     struct Node
@@ -235,7 +184,7 @@ class BankedRequestQueue
     std::vector<std::uint32_t> bankHead_;
     std::vector<std::uint32_t> bankTail_;
     std::vector<int> bankCount_;
-    std::vector<std::uint64_t> occupied_;  ///< ready-bank bitmask
+    std::uint64_t occupied_ = 0;  ///< ready-bank bitmask
     std::size_t size_ = 0;
 };
 

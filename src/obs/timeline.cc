@@ -204,21 +204,6 @@ TimelineRecorder::onSchedPick(const validate::SchedPickEvent &ev)
 }
 
 void
-TimelineRecorder::onMcQueue(const validate::McQueueEvent &ev)
-{
-    ++mcqSeen_;
-    const std::string ch = "ch" + std::to_string(ev.channel);
-    record({ev.tick, 0, 'C', 1, 0, ch + " queues",
-            "{\"read\": " + std::to_string(ev.readDepth)
-                + ", \"write\": " + std::to_string(ev.writeDepth)
-                + "}",
-            0});
-    record({ev.tick, 0, 'C', 1, 0, ch + " blockedReads",
-            "{\"blocked\": " + std::to_string(ev.blockedReads) + "}",
-            0});
-}
-
-void
 TimelineRecorder::addCounter(Tick ts, const std::string &track,
                              std::int64_t value)
 {

@@ -15,11 +15,12 @@
  *                   fallback / baseline / idle), with the banks
  *                   under refresh and the chosen task's resident
  *                   fraction in those banks as args.
- *   pid 1 counters - per-channel read/write queue depth and
- *                   refresh-blocked read count ("C" events).
  *   pid 3 "telemetry" - one counter track per sampled telemetry
  *                   series (obs/telemetry.hh), merged in through
- *                   addCounter() after the run.
+ *                   addCounter() after the run.  These are the
+ *                   timeline's only counter ("C") events: queue
+ *                   depths and refresh-blocked reads appear only
+ *                   when telemetry is enabled.
  *
  * All timestamps are simulated time rendered by exact integer
  * arithmetic (obs/json.hh), so for a fixed seed the exported file is
@@ -62,7 +63,6 @@ class TimelineRecorder final : public validate::Probe
     // --- Probe interface ---
     void onDramCommand(const validate::DramCmdEvent &ev) override;
     void onSchedPick(const validate::SchedPickEvent &ev) override;
-    void onMcQueue(const validate::McQueueEvent &ev) override;
     void finalize(Tick endTick) override;
 
     /**
@@ -88,7 +88,6 @@ class TimelineRecorder final : public validate::Probe
     // --- Introspection (fan-out identity tests) ---
     std::uint64_t dramCommandsSeen() const { return dramSeen_; }
     std::uint64_t schedPicksSeen() const { return picksSeen_; }
-    std::uint64_t mcQueueEventsSeen() const { return mcqSeen_; }
     std::size_t eventCount() const { return entries_.size(); }
 
   private:
@@ -147,7 +146,6 @@ class TimelineRecorder final : public validate::Probe
 
     std::uint64_t dramSeen_ = 0;
     std::uint64_t picksSeen_ = 0;
-    std::uint64_t mcqSeen_ = 0;
 };
 
 } // namespace refsched::obs

@@ -9,9 +9,12 @@
  * and the components carry only an unused pointer; when compiled in
  * but no probe is attached, each site costs one null check.
  *
- * Consumers live in src/validate/: invariant checkers (JEDEC timing
- * auditor, refresh-window monitor, OS auditor) and the golden-trace
- * recorder used by the differential harness.
+ * Consumers: the invariant checkers in src/validate/ (JEDEC timing
+ * auditor, refresh-window monitor, OS auditor, scenario auditor),
+ * the golden-trace recorder used by the differential harness, and
+ * the timeline recorder (obs/timeline.hh).  Periodic state such as
+ * queue depths is not a probe event: telemetry reads it directly
+ * (obs/telemetry.hh).
  */
 
 #ifndef REFSCHED_SIMCORE_PROBE_HH
@@ -186,29 +189,6 @@ struct PageMigrateEvent
 };
 
 /**
- * Memory-controller queue occupancy change: a request entering the
- * read/write queue or a CAS issuing (leaving the queue).  Emitted
- * after the depth change is applied, so @p readDepth / @p writeDepth
- * are the post-event occupancies.
- */
-struct McQueueEvent
-{
-    Tick tick = 0;
-    int channel = 0;
-    /** True for an enqueue, false for a CAS issue (dequeue). */
-    bool enqueue = false;
-    /** True when the affected request is a read. */
-    bool isRead = false;
-    /** Read-queue depth after this event. */
-    int readDepth = 0;
-    /** Write-queue depth after this event. */
-    int writeDepth = 0;
-    /** Reads currently waiting whose target bank was observed under
-     *  refresh (refresh-blocked reads). */
-    int blockedReads = 0;
-};
-
-/**
  * Instrumentation sink.  All callbacks default to no-ops so a probe
  * implements only what it needs; emission sites fire in simulated
  * time order within each component.
@@ -224,7 +204,6 @@ class Probe
     virtual void onRqDequeue(const RqEvent &) {}
     virtual void onPageAlloc(const PageAllocEvent &) {}
     virtual void onPageFree(const PageFreeEvent &) {}
-    virtual void onMcQueue(const McQueueEvent &) {}
     virtual void onTaskSpawn(const TaskLifeEvent &) {}
     virtual void onTaskExit(const TaskLifeEvent &) {}
     virtual void onPageMigrate(const PageMigrateEvent &) {}

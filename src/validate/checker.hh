@@ -155,12 +155,6 @@ class CheckerSet final : public Probe
     }
 
     void
-    onMcQueue(const McQueueEvent &ev) override
-    {
-        dispatch([&](Probe &p) { p.onMcQueue(ev); });
-    }
-
-    void
     onTaskSpawn(const TaskLifeEvent &ev) override
     {
         dispatch([&](Probe &p) { p.onTaskSpawn(ev); });

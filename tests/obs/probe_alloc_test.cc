@@ -56,7 +56,6 @@ TEST(ProbeAllocTest, EmptyCheckerSetDispatchIsAllocationFree)
     RqEvent rq{300, 0, 7, 5};
     PageAllocEvent alloc{400, 7, 12, false, nullptr};
     PageFreeEvent pageFree{500, 12};
-    McQueueEvent mcq{600, 0, true, true, 4, 2, 1};
 
     AllocWatch watch;
     for (int i = 0; i < 1000; ++i) {
@@ -66,7 +65,6 @@ TEST(ProbeAllocTest, EmptyCheckerSetDispatchIsAllocationFree)
         hub.onRqDequeue(rq);
         hub.onPageAlloc(alloc);
         hub.onPageFree(pageFree);
-        hub.onMcQueue(mcq);
     }
     hub.finalize(700);
     EXPECT_EQ(watch.count(), 0u)
@@ -80,12 +78,9 @@ TEST(ProbeAllocTest, NoOpExternalProbeCostsNoAllocations)
     hub.attachExternal(&noOp);
 
     DramCmdEvent dram{100, DramOp::Pre, 0, 0, 0, 1, 0};
-    McQueueEvent mcq{100, 0, false, true, 0, 0, 0};
     AllocWatch watch;
-    for (int i = 0; i < 1000; ++i) {
+    for (int i = 0; i < 1000; ++i)
         hub.onDramCommand(dram);
-        hub.onMcQueue(mcq);
-    }
     EXPECT_EQ(watch.count(), 0u);
 }
 

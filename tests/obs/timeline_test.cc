@@ -38,7 +38,7 @@ smallConfig(core::Policy policy)
 /** Counts every probe callback; the fan-out identity reference. */
 struct CountingProbe final : validate::Probe
 {
-    std::uint64_t dram = 0, picks = 0, mcq = 0;
+    std::uint64_t dram = 0, picks = 0;
     Tick finalTick = 0;
 
     void onDramCommand(const validate::DramCmdEvent &) override
@@ -48,10 +48,6 @@ struct CountingProbe final : validate::Probe
     void onSchedPick(const validate::SchedPickEvent &) override
     {
         ++picks;
-    }
-    void onMcQueue(const validate::McQueueEvent &) override
-    {
-        ++mcq;
     }
     void finalize(Tick endTick) override { finalTick = endTick; }
 };
@@ -74,12 +70,10 @@ TEST(TimelineFanOutTest, ObserversAndValidatorsSeeIdenticalStreams)
 
     EXPECT_GT(counter.dram, 0u);
     EXPECT_GT(counter.picks, 0u);
-    EXPECT_GT(counter.mcq, 0u);
     EXPECT_GT(counter.finalTick, 0u);
     // Every fan-out consumer saw exactly the same stream.
     EXPECT_EQ(timeline.dramCommandsSeen(), counter.dram);
     EXPECT_EQ(timeline.schedPicksSeen(), counter.picks);
-    EXPECT_EQ(timeline.mcQueueEventsSeen(), counter.mcq);
     // The golden recorder encodes dram + pick + page events; its
     // count can't exceed what the reference consumer observed but
     // must include every DRAM command and pick.

@@ -138,7 +138,9 @@ usage(const char *argv0, const std::string &error = "")
         << "  --timeline FILE        write a Chrome trace-event "
            "timeline\n"
         << "                         (open in Perfetto / "
-           "chrome://tracing)\n"
+           "chrome://tracing); add --telemetry\n"
+        << "                         for queue-depth and "
+           "blocked-read counter tracks\n"
         << "  --stats-json FILE      write metrics + self-profile + "
            "all stats as JSON\n"
         << "  --telemetry FILE       sample queue depths, row-hit/"

@@ -13,10 +13,11 @@
  *      non-decreasing in file order and complete ("X") slices do not
  *      overlap;
  *   3. counter ("C") events carry a non-empty args object whose
- *      members are all non-negative numbers, under a known track
- *      name: the controller's "chN queues"/"chN blockedReads"
- *      counters on pid 1, or a telemetry series name
- *      (obs::isKnownTelemetrySeries) on pid 3;
+ *      members are all non-negative numbers, and sit on the pid-3
+ *      telemetry process under a telemetry series name
+ *      (obs::isKnownTelemetrySeries).  Timelines carry counters only
+ *      when the run also sampled telemetry (refsched_cli
+ *      --telemetry);
  *   4. with --require-clean-picks (co-design runs): no scheduling
  *      quantum ran a task with pages resident in a bank under
  *      refresh -- every quantum slice's residentInRefreshBanks is 0
@@ -57,21 +58,6 @@ fail(std::size_t index, const std::string &what)
     std::cerr << "timeline_check: event " << index << ": " << what
               << "\n";
     return 1;
-}
-
-/** The TimelineRecorder's own pid-1 counter tracks. */
-bool
-isLegacyCounterTrack(const std::string &name)
-{
-    if (name.size() < 3 || name.compare(0, 2, "ch") != 0)
-        return false;
-    std::size_t i = 2;
-    while (i < name.size() && name[i] >= '0' && name[i] <= '9')
-        ++i;
-    if (i == 2)
-        return false;
-    const std::string rest = name.substr(i);
-    return rest == " queues" || rest == " blockedReads";
 }
 
 int
@@ -138,10 +124,8 @@ check(const obs::JsonValue &doc, bool requireCleanPicks)
                     return fail(i, "counter value '" + key
                                        + "' is negative");
             }
-            const bool known = pid->number == 3.0
-                ? obs::isKnownTelemetrySeries(name->string)
-                : isLegacyCounterTrack(name->string);
-            if (!known)
+            if (pid->number != 3.0
+                || !obs::isKnownTelemetrySeries(name->string))
                 return fail(i, "unknown counter track '"
                                    + name->string + "'");
             ++counterCount;

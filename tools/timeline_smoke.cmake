@@ -1,7 +1,10 @@
 # ctest driver for the observability exporters: run one co-design
 # cell with a timeline + stats-json export, then schema-validate the
 # timeline and assert the co-design property (no scheduled quantum's
-# task footprint overlaps the bank under refresh).
+# task footprint overlaps the bank under refresh).  The all-bank cell
+# also samples telemetry: counter tracks (chN.blockedReads, queue
+# depths) reach a timeline only that way, and the check requires
+# them.
 #
 # Usage (see tools/CMakeLists.txt):
 #   cmake -DCLI=<refsched_cli> -DCHECK=<timeline_check> -DOUT=<dir>
@@ -55,6 +58,7 @@ execute_process(
     COMMAND "${CLI}" --policy all-bank --workload WL-5
         --warmup 2 --measure 8 --seed 7
         --timeline "${ab_timeline}" --stats-json "${ab_stats}"
+        --telemetry "${OUT}/allbank_telemetry.jsonl"
     RESULT_VARIABLE rc
     OUTPUT_QUIET)
 if(NOT rc EQUAL 0)
@@ -62,9 +66,14 @@ if(NOT rc EQUAL 0)
 endif()
 execute_process(
     COMMAND "${CHECK}" "${ab_timeline}"
-    RESULT_VARIABLE rc)
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE ab_check)
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR "timeline_check (all-bank) failed (rc=${rc})")
+endif()
+if(NOT ab_check MATCHES " [1-9][0-9]* counter samples")
+    message(FATAL_ERROR
+        "all-bank timeline has no counter samples: ${ab_check}")
 endif()
 file(READ "${ab_stats}" ab_text)
 if(ab_text MATCHES "readLatencyBlocked\": {\"mean\": 0, \"min\": 0, \"max\": 0, \"count\": 0")
