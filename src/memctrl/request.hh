@@ -65,8 +65,7 @@ struct Request
      * in-flight request needs its own element -- under the sharded
      * kernel the owning channel lane writes it, so sharing one flag
      * across channels would race.  Forwarded reads (served from a
-     * queued write) bypass the DRAM banks entirely and leave the
-     * issuer's cleared flag untouched.
+     * queued write) bypass the DRAM banks entirely and store 0.
      */
     std::uint8_t *blockedOut = nullptr;
 

@@ -232,9 +232,20 @@ TEST(MemoryControllerTest, ReadForwardedFromWriteQueue)
     h.eq.runUntil(microseconds(1));
     ASSERT_TRUE(done->has_value());
     EXPECT_EQ(done->value(), h.dev.timings.tCK);
-    EXPECT_EQ(h.mc.channelStats(0).forwardedReads.value(), 1.0);
+    const auto &s = h.mc.channelStats(0);
+    EXPECT_EQ(s.forwardedReads.value(), 1.0);
     // The forwarded read never entered the read queue.
-    EXPECT_EQ(h.mc.channelStats(0).rowMisses.value(), 0.0);
+    EXPECT_EQ(s.rowMisses.value(), 0.0);
+    // ...but it is a read like any other in the latency histograms:
+    // clean (it never waited on a bank), with latency tCK.
+    const auto reads = static_cast<std::uint64_t>(s.reads.value());
+    EXPECT_EQ(s.readLatencyClean.samples() + s.readLatencyBlocked.samples(),
+              reads);
+    EXPECT_EQ(s.readLatencyDist.samples(), reads);
+    EXPECT_EQ(s.readLatencyClean.maxValue(),
+              static_cast<double>(h.dev.timings.tCK));
+    // Queue-wait stats count CAS-issued reads only.
+    EXPECT_EQ(s.readQueueWaitHist.samples(), 0u);
 }
 
 TEST(MemoryControllerTest, QueuedToBankCountsDemandReads)
