@@ -1,5 +1,7 @@
 #include "cache/cache.hh"
 
+#include <algorithm>
+
 #include "simcore/logging.hh"
 
 namespace refsched::cache
@@ -18,9 +20,11 @@ Cache::Cache(const CacheParams &params) : params_(params)
               " line=", params_.lineBytes);
     lineShift_ = log2Exact(params_.lineBytes);
     setBits_ = log2Exact(numSets_);
-    lines_.assign(numSets_ * static_cast<std::uint64_t>(
-                                 params_.associativity),
-                  Line{});
+    assoc_ = static_cast<std::size_t>(params_.associativity);
+    const std::size_t slots = numSets_ * assoc_;
+    keys_.assign(slots, 0);
+    lastUse_.assign(slots, 0);
+    dirty_.assign(slots, 0);
 }
 
 std::uint64_t
@@ -41,107 +45,106 @@ Cache::lineAddr(Addr tag, std::uint64_t set) const
     return ((tag << setBits_) | set) << lineShift_;
 }
 
-Cache::Line *
-Cache::find(Addr paddr)
+std::size_t
+Cache::setBase(Addr paddr) const
 {
-    const std::uint64_t set = setIndex(paddr);
-    const Addr tag = tagOf(paddr);
-    Line *base =
-        &lines_[set * static_cast<std::uint64_t>(params_.associativity)];
-    for (int w = 0; w < params_.associativity; ++w) {
-        if (base[w].valid && base[w].tag == tag)
-            return &base[w];
-    }
-    return nullptr;
+    return setIndex(paddr) * assoc_;
 }
 
-const Cache::Line *
-Cache::find(Addr paddr) const
+std::size_t
+Cache::findIn(std::size_t base, Addr key) const
 {
-    return const_cast<Cache *>(this)->find(paddr);
+    const Addr *k = keys_.data() + base;
+    for (std::size_t w = 0; w < assoc_; ++w) {
+        if (k[w] == key)
+            return base + w;
+    }
+    return kNoSlot;
 }
 
 bool
 Cache::contains(Addr paddr) const
 {
-    return find(paddr) != nullptr;
+    return findIn(setBase(paddr), tagOf(paddr) + 1) != kNoSlot;
 }
 
 CacheAccessOutcome
 Cache::access(Addr paddr, bool isWrite)
 {
     ++accesses_;
-    if (Line *line = find(paddr)) {
-        line->lastUse = ++useCounter_;
-        line->dirty |= isWrite;
+    const std::size_t base = setBase(paddr);
+    const Addr key = tagOf(paddr) + 1;
+    const std::size_t slot = findIn(base, key);
+    if (slot != kNoSlot) {
+        lastUse_[slot] = ++useCounter_;
+        dirty_[slot] |= isWrite;
         return CacheAccessOutcome{true, false, false, 0};
     }
     ++misses_;
-    CacheAccessOutcome out = insert(paddr, isWrite);
-    out.hit = false;
-    return out;
+    return fill(base, key, isWrite);
 }
 
 CacheAccessOutcome
 Cache::insert(Addr paddr, bool dirty)
 {
-    CacheAccessOutcome out;
-    out.hit = false;
-
-    if (Line *line = find(paddr)) {
+    const std::size_t base = setBase(paddr);
+    const Addr key = tagOf(paddr) + 1;
+    const std::size_t slot = findIn(base, key);
+    if (slot != kNoSlot) {
         // Already present (write-back landing on a cached line).
-        line->dirty |= dirty;
-        line->lastUse = ++useCounter_;
-        return out;
+        dirty_[slot] |= dirty;
+        lastUse_[slot] = ++useCounter_;
+        return CacheAccessOutcome{};
     }
+    return fill(base, key, dirty);
+}
 
-    const std::uint64_t set = setIndex(paddr);
-    Line *base =
-        &lines_[set * static_cast<std::uint64_t>(params_.associativity)];
-
-    Line *victim = nullptr;
-    for (int w = 0; w < params_.associativity; ++w) {
-        Line &l = base[w];
-        if (!l.valid) {
-            victim = &l;
+CacheAccessOutcome
+Cache::fill(std::size_t base, Addr key, bool dirty)
+{
+    std::size_t victim = base;
+    for (std::size_t s = base; s < base + assoc_; ++s) {
+        if (keys_[s] == 0) {
+            victim = s;
             break;
         }
-        if (!victim || l.lastUse < victim->lastUse)
-            victim = &l;
+        if (lastUse_[s] < lastUse_[victim])
+            victim = s;
     }
 
-    if (victim->valid) {
+    CacheAccessOutcome out;
+    if (keys_[victim] != 0) {
         out.victimValid = true;
-        out.victimDirty = victim->dirty;
-        out.victimAddr = lineAddr(victim->tag, set);
-        if (victim->dirty)
+        out.victimDirty = dirty_[victim] != 0;
+        out.victimAddr = lineAddr(keys_[victim] - 1, victim / assoc_);
+        if (out.victimDirty)
             ++writebacks_;
     }
 
-    victim->valid = true;
-    victim->dirty = dirty;
-    victim->tag = tagOf(paddr);
-    victim->lastUse = ++useCounter_;
+    keys_[victim] = key;
+    dirty_[victim] = dirty;
+    lastUse_[victim] = ++useCounter_;
     return out;
 }
 
 bool
 Cache::invalidate(Addr paddr)
 {
-    if (Line *line = find(paddr)) {
-        const bool wasDirty = line->dirty;
-        line->valid = false;
-        line->dirty = false;
-        return wasDirty;
-    }
-    return false;
+    const std::size_t slot = findIn(setBase(paddr), tagOf(paddr) + 1);
+    if (slot == kNoSlot)
+        return false;
+    const bool wasDirty = dirty_[slot] != 0;
+    keys_[slot] = 0;
+    dirty_[slot] = 0;
+    return wasDirty;
 }
 
 void
 Cache::reset()
 {
-    for (auto &l : lines_)
-        l = Line{};
+    std::fill(keys_.begin(), keys_.end(), 0);
+    std::fill(lastUse_.begin(), lastUse_.end(), 0);
+    std::fill(dirty_.begin(), dirty_.end(), 0);
     useCounter_ = 0;
 }
 

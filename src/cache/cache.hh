@@ -12,6 +12,7 @@
 #ifndef REFSCHED_CACHE_CACHE_HH
 #define REFSCHED_CACHE_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -95,27 +96,35 @@ class Cache
     }
 
   private:
-    struct Line
-    {
-        Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t lastUse = 0;
-    };
-
     std::uint64_t setIndex(Addr paddr) const;
     Addr tagOf(Addr paddr) const;
     Addr lineAddr(Addr tag, std::uint64_t set) const;
 
-    /** Find the line holding @p paddr, or nullptr. */
-    Line *find(Addr paddr);
-    const Line *find(Addr paddr) const;
+    /** First slot of @p paddr's set in the parallel arrays. */
+    std::size_t setBase(Addr paddr) const;
+
+    /** Slot holding key @p key in the set starting at @p base, or
+     *  kNoSlot. */
+    std::size_t findIn(std::size_t base, Addr key) const;
+
+    /** Allocate @p key into the set starting at @p base: the first
+     *  invalid way, else the least recently used one (ties to the
+     *  lowest way).  Reports the evicted victim. */
+    CacheAccessOutcome fill(std::size_t base, Addr key, bool dirty);
+
+    static constexpr std::size_t kNoSlot = ~std::size_t{0};
 
     CacheParams params_;
     std::uint64_t numSets_;
     unsigned lineShift_;
     unsigned setBits_;
-    std::vector<Line> lines_;  ///< numSets * assoc, set-major
+    std::size_t assoc_;
+
+    // Set-major structure-of-arrays tag store (numSets * assoc
+    // slots): the way scan reads only the dense keys_ row.
+    std::vector<Addr> keys_;  ///< tag + 1; 0 marks an invalid way
+    std::vector<std::uint64_t> lastUse_;
+    std::vector<std::uint8_t> dirty_;
     std::uint64_t useCounter_ = 0;
 
     std::uint64_t accesses_ = 0;

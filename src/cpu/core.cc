@@ -23,6 +23,14 @@ Core::Core(EventQueue &eq, int id, const CoreParams &params,
                         0);
     fillSlotFilled_.assign(
         static_cast<std::size_t>(params_.robSize) + 1, 0);
+    const Cycles maxHit = caches_.l1(id_).params().hitLatency
+        + caches_.l2().params().hitLatency;
+    hitChargeTable_.resize(static_cast<std::size_t>(maxHit) + 1);
+    for (std::size_t c = 0; c < hitChargeTable_.size(); ++c) {
+        hitChargeTable_[c] = static_cast<Tick>(std::llround(
+            static_cast<double>(c) * params_.hitLatencyVisibility
+            * static_cast<double>(params_.cpuPeriod)));
+    }
 }
 
 void
@@ -343,10 +351,12 @@ Core::advance(Tick now)
         chargeInstructions(1);
         ++task_->memOps;
 
-        if (!res.dramMiss && res.latency > 0) {
+        if (!res.dramMiss) {
             // Hit latency partially exposed past the OoO window.
-            chargeCycles(static_cast<double>(res.latency)
-                         * params_.hitLatencyVisibility);
+            REFSCHED_ASSERT(res.latency < hitChargeTable_.size(),
+                            "hit latency ", res.latency,
+                            " outside the charge table");
+            localTick_ += hitChargeTable_[res.latency];
         }
 
         const Addr lineMask =

@@ -210,6 +210,13 @@ class Core : public os::CpuContext, public Callee
      *  CPI), yielding identical tick charges. */
     std::vector<Tick> chargeTable_;
     double chargeTableCpi_ = -1.0;
+
+    /** hitChargeTable_[c] = the chargeCycles() tick charge of
+     *  c * hitLatencyVisibility cycles, for c in [0, L1 hit + L2
+     *  hit]: every cache-hit latency the hierarchy reports.  Fixed
+     *  at construction, so a hit costs a table load, not an
+     *  llround. */
+    std::vector<Tick> hitChargeTable_;
 };
 
 } // namespace refsched::cpu

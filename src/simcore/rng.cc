@@ -1,5 +1,6 @@
 #include "simcore/rng.hh"
 
+#include <array>
 #include <cmath>
 
 namespace refsched
@@ -56,6 +57,37 @@ Rng::reseed(std::uint64_t seed)
         s[0] = 1;
 }
 
+void
+GeometricGapTable::build(double p)
+{
+    p_ = p;
+    logQ_ = std::log1p(-p);
+    std::array<Edge, kMaxEntries> buf;
+    for (std::size_t j = 0; j < kMaxEntries; ++j) {
+        const double mj =
+            std::exp(static_cast<double>(j + 1) * logQ_);
+        buf[j] = Edge{mj * (1.0 + kGuard), mj * (1.0 - kGuard)};
+        // Every m = 1 - u is at least 2^-53, so no draw scans past
+        // a threshold whose guard band lies below that.
+        if (buf[j].above < 0x1.0p-53) {
+            edges_.assign(buf.begin(), buf.begin() + j + 1);
+            return;
+        }
+    }
+    edges_.clear();
+}
+
+std::uint64_t
+GeometricGapTable::reference(double u, double logQ,
+                             std::uint64_t maxGap)
+{
+    // Inverse-CDF sampling: floor(log(U) / log(1-p)).
+    const double g = std::floor(std::log1p(-u) / logQ);
+    if (g >= static_cast<double>(maxGap))
+        return maxGap;
+    return static_cast<std::uint64_t>(g);
+}
+
 std::uint64_t
 Rng::geometric(double p, std::uint64_t maxGap)
 {
@@ -63,16 +95,9 @@ Rng::geometric(double p, std::uint64_t maxGap)
         return 0;
     if (p <= 0.0)
         return maxGap;
-    // Inverse-CDF sampling: floor(log(U) / log(1-p)).
-    if (p != geomP_) {
-        geomP_ = p;
-        geomLogQ_ = std::log1p(-p);
-    }
-    const double u = real();
-    const double g = std::floor(std::log1p(-u) / geomLogQ_);
-    if (g >= static_cast<double>(maxGap))
-        return maxGap;
-    return static_cast<std::uint64_t>(g);
+    if (p != geom_.p())
+        geom_.build(p);
+    return geom_.gap(real(), maxGap);
 }
 
 } // namespace refsched

@@ -11,7 +11,9 @@
 #ifndef REFSCHED_SIMCORE_RNG_HH
 #define REFSCHED_SIMCORE_RNG_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace refsched
 {
@@ -96,6 +98,81 @@ class CounterRng
     std::uint64_t counter_ = 0;
 };
 
+/**
+ * Exact table-driven inverse CDF of the geometric distribution.
+ *
+ * The reference mapping from a uniform draw u to a gap is
+ * floor(log1p(-u) / log1p(-p)), clamped to maxGap.  In m = 1 - u
+ * space -- exact for every u = k * 2^-53, which is all Rng::real()
+ * produces -- that gap is the first j with m > M_j, where
+ * M_j = q^(j+1) and q = 1 - p.  build() tabulates the thresholds
+ * when at most kMaxEntries of them lie above 2^-53 (p >~ 0.134), and
+ * gap() then scans them instead of calling libm.
+ *
+ * Exactness: libm's quotient is within a few ulps of the true one,
+ * and the thresholds within ~1e-14 relative, so the two mappings can
+ * only disagree when m lies within a relative ~1e-13 of M_j.  gap()
+ * takes the libm expression whenever m lies within the much wider
+ * relative kGuard of the deciding threshold, or past the table, so
+ * it returns the reference value for every draw.  Other values of p
+ * get no table and always take the libm expression.
+ */
+class GeometricGapTable
+{
+  public:
+    /** Longest table built; longer ones keep the libm path. */
+    static constexpr std::size_t kMaxEntries = 256;
+    /** Relative guard band around each threshold. */
+    static constexpr double kGuard = 1e-9;
+
+    /** (Re)build for success probability @p p in (0, 1). */
+    void build(double p);
+
+    /** The p of the last build() (negative before the first). */
+    double p() const { return p_; }
+
+    /** Number of thresholds; 0 when p takes the libm path only. */
+    std::size_t entries() const { return edges_.size(); }
+
+    /**
+     * Gap for the draw @p u = k * 2^-53, clamped to @p maxGap;
+     * equals reference(u, log1p(-p), maxGap) for every such u.
+     */
+    std::uint64_t
+    gap(double u, std::uint64_t maxGap) const
+    {
+        const double m = 1.0 - u;
+        const std::size_t n =
+            edges_.size() < maxGap ? edges_.size() : maxGap;
+        const Edge *e = edges_.data();
+        for (std::size_t j = 0; j < n; ++j) {
+            if (m > e[j].above)
+                return j;
+            if (m >= e[j].below)
+                return reference(u, logQ_, maxGap);
+        }
+        // Every scanned threshold lies safely above m: the gap is at
+        // least n, which is the answer once n reached the clamp.
+        return n == maxGap ? maxGap : reference(u, logQ_, maxGap);
+    }
+
+    /** The libm mapping floor(log1p(-u) / logQ), clamped. */
+    static std::uint64_t reference(double u, double logQ,
+                                   std::uint64_t maxGap);
+
+  private:
+    /** M_j * (1 + kGuard) and M_j * (1 - kGuard). */
+    struct Edge
+    {
+        double above;
+        double below;
+    };
+
+    double p_ = -1.0;
+    double logQ_ = 0.0;
+    std::vector<Edge> edges_;
+};
+
 /** xoshiro256** PRNG with splitmix64 seeding. */
 class Rng
 {
@@ -157,7 +234,9 @@ class Rng
     /**
      * Geometric "gap" sample: number of failures before the first
      * success with success probability @p p, clamped to @p maxGap.
-     * Used for instruction gaps between memory operations.
+     * Used for instruction gaps between memory operations.  Draws
+     * exactly one real() per call; the threshold table is rebuilt
+     * only when @p p changes (a trace's macro-phase switch).
      */
     std::uint64_t geometric(double p, std::uint64_t maxGap = 100000);
 
@@ -170,10 +249,7 @@ class Rng
 
     std::uint64_t s[4];
 
-    /** geometric() is called with the same p for a whole trace
-     *  stream; cache log1p(-p) instead of recomputing per sample. */
-    double geomP_ = -1.0;
-    double geomLogQ_ = 0.0;
+    GeometricGapTable geom_;
 };
 
 } // namespace refsched

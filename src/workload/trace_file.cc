@@ -1,8 +1,11 @@
 #include "workload/trace_file.hh"
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <memory>
+#include <system_error>
 
 #include "simcore/logging.hh"
 
@@ -103,6 +106,21 @@ readTraceFile(const std::string &path)
     if (header.version != kVersion)
         fatal("unsupported trace version ", header.version, ": ",
               path);
+
+    if (!std::isfinite(header.baseCpi) || header.baseCpi <= 0.0)
+        fatal("trace file has invalid base CPI ", header.baseCpi, ": ",
+              path);
+    // Trust the entry count only as far as the file backs it: a
+    // forged count must not reach reserve().
+    std::error_code ec;
+    const std::uintmax_t bytes = std::filesystem::file_size(path, ec);
+    if (ec)
+        fatal("cannot size trace file: ", path);
+    const std::uintmax_t stored =
+        (bytes - sizeof(FileHeader)) / sizeof(FileEntry);
+    if (header.count > stored)
+        fatal("trace header claims ", header.count,
+              " entries but the file holds ", stored, ": ", path);
 
     LoadedTrace out;
     out.baseCpi = header.baseCpi;

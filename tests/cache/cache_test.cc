@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "simcore/logging.hh"
+#include "simcore/rng.hh"
 
 namespace refsched::cache
 {
@@ -165,6 +168,184 @@ TEST(CacheTest, Table1Geometry)
     EXPECT_EQ(l2.numSets(), 2048u);
     Cache c1(l1), c2(l2);  // construct without error
 }
+
+/**
+ * Reference array-of-structs LRU tag store: one record per way,
+ * victim = first invalid way, else the smallest lastUse (ties to the
+ * lowest way).  Cache must match it outcome for outcome.
+ */
+class ReferenceCache
+{
+  public:
+    explicit ReferenceCache(const CacheParams &p)
+        : assoc_(static_cast<std::uint64_t>(p.associativity)),
+          sets_(p.numSets()), lineBytes_(p.lineBytes),
+          lines_(sets_ * assoc_)
+    {
+    }
+
+    CacheAccessOutcome
+    access(Addr paddr, bool isWrite)
+    {
+        ++accesses;
+        if (Line *l = find(paddr)) {
+            l->lastUse = ++useCounter_;
+            l->dirty |= isWrite;
+            return CacheAccessOutcome{true, false, false, 0};
+        }
+        ++misses;
+        return insert(paddr, isWrite);
+    }
+
+    CacheAccessOutcome
+    insert(Addr paddr, bool dirty)
+    {
+        CacheAccessOutcome out;
+        if (Line *l = find(paddr)) {
+            l->dirty |= dirty;
+            l->lastUse = ++useCounter_;
+            return out;
+        }
+        Line *base = &lines_[set(paddr) * assoc_];
+        Line *victim = nullptr;
+        for (std::uint64_t w = 0; w < assoc_; ++w) {
+            if (!base[w].valid) {
+                victim = &base[w];
+                break;
+            }
+            if (!victim || base[w].lastUse < victim->lastUse)
+                victim = &base[w];
+        }
+        if (victim->valid) {
+            out.victimValid = true;
+            out.victimDirty = victim->dirty;
+            out.victimAddr = victim->line;
+            writebacks += victim->dirty;
+        }
+        *victim = Line{paddr / lineBytes_ * lineBytes_, true, dirty,
+                       ++useCounter_};
+        return out;
+    }
+
+    bool
+    contains(Addr paddr)
+    {
+        return find(paddr) != nullptr;
+    }
+
+    bool
+    invalidate(Addr paddr)
+    {
+        Line *l = find(paddr);
+        if (!l)
+            return false;
+        const bool wasDirty = l->dirty;
+        l->valid = l->dirty = false;
+        return wasDirty;
+    }
+
+    void
+    reset()
+    {
+        for (auto &l : lines_)
+            l = Line{};
+        useCounter_ = 0;
+    }
+
+    std::uint64_t accesses = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t writebacks = 0;
+
+  private:
+    struct Line
+    {
+        Addr line = 0;
+        bool valid = false;
+        bool dirty = false;
+        std::uint64_t lastUse = 0;
+    };
+
+    std::uint64_t
+    set(Addr paddr) const
+    {
+        return paddr / lineBytes_ % sets_;
+    }
+
+    Line *
+    find(Addr paddr)
+    {
+        const Addr line = paddr / lineBytes_ * lineBytes_;
+        Line *base = &lines_[set(paddr) * assoc_];
+        for (std::uint64_t w = 0; w < assoc_; ++w) {
+            if (base[w].valid && base[w].line == line)
+                return &base[w];
+        }
+        return nullptr;
+    }
+
+    std::uint64_t assoc_;
+    std::uint64_t sets_;
+    std::uint64_t lineBytes_;
+    std::vector<Line> lines_;
+    std::uint64_t useCounter_ = 0;
+};
+
+class CacheEquivalenceTest : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(CacheEquivalenceTest, RandomStreamsMatchReferenceLru)
+{
+    CacheParams p;
+    p.associativity = GetParam();
+    p.lineBytes = 64;
+    p.sizeBytes = 8 * p.lineBytes
+        * static_cast<std::uint64_t>(p.associativity);  // 8 sets
+    Cache c(p);
+    ReferenceCache ref(p);
+    Rng rng(static_cast<std::uint64_t>(p.associativity));
+    // Twice as many distinct lines per set as ways, so hits, clean
+    // and dirty evictions and invalid ways all recur; offsets inside
+    // the line and high address bits exercise the tag split.
+    const std::uint64_t lines =
+        2 * 8 * static_cast<std::uint64_t>(p.associativity);
+    for (int step = 0; step < 200000; ++step) {
+        const Addr paddr = (1ULL << 40) + rng.below(lines) * 64
+            + rng.below(64);
+        const std::uint64_t op = rng.below(100);
+        if (op < 55) {
+            const bool w = rng.bernoulli(0.3);
+            const auto got = c.access(paddr, w);
+            const auto want = ref.access(paddr, w);
+            ASSERT_EQ(got.hit, want.hit) << step;
+            ASSERT_EQ(got.victimValid, want.victimValid) << step;
+            ASSERT_EQ(got.victimDirty, want.victimDirty) << step;
+            ASSERT_EQ(got.victimAddr, want.victimAddr) << step;
+        } else if (op < 75) {
+            const bool d = rng.bernoulli(0.5);
+            const auto got = c.insert(paddr, d);
+            const auto want = ref.insert(paddr, d);
+            ASSERT_EQ(got.hit, want.hit) << step;
+            ASSERT_EQ(got.victimValid, want.victimValid) << step;
+            ASSERT_EQ(got.victimDirty, want.victimDirty) << step;
+            ASSERT_EQ(got.victimAddr, want.victimAddr) << step;
+        } else if (op < 87) {
+            ASSERT_EQ(c.invalidate(paddr), ref.invalidate(paddr))
+                << step;
+        } else if (op < 99) {
+            ASSERT_EQ(c.contains(paddr), ref.contains(paddr)) << step;
+        } else if (rng.below(20) == 0) {
+            c.reset();
+            ref.reset();
+        }
+        ASSERT_EQ(c.accesses(), ref.accesses) << step;
+        ASSERT_EQ(c.misses(), ref.misses) << step;
+        ASSERT_EQ(c.writebacks(), ref.writebacks) << step;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Associativities, CacheEquivalenceTest,
+                         ::testing::Values(1, 2, 4, 16));
 
 TEST(CacheTest, BadParamsAreFatal)
 {

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <iterator>
 #include <set>
 #include <vector>
@@ -128,6 +130,129 @@ TEST(RngTest, GeometricEdgeCases)
     EXPECT_EQ(r.geometric(0.0, 500), 500u);
     for (int i = 0; i < 100; ++i)
         ASSERT_LE(r.geometric(0.001, 50), 50u);
+}
+
+/** The draw u = k * 2^-53; Rng::real() produces only these. */
+double
+drawOf(std::uint64_t k)
+{
+    return static_cast<double>(k) * 0x1.0p-53;
+}
+
+constexpr std::uint64_t kLastDraw = (1ULL << 53) - 1;
+
+/** Table-2 memOpFraction values: each gets a threshold table. */
+class GeometricGapExactnessTest : public ::testing::TestWithParam<double>
+{
+};
+
+TEST_P(GeometricGapExactnessTest, MatchesLibmOnRandomDraws)
+{
+    const double p = GetParam();
+    GeometricGapTable t;
+    t.build(p);
+    ASSERT_GT(t.entries(), 0u);
+    ASSERT_LE(t.entries(), GeometricGapTable::kMaxEntries);
+    const double logQ = std::log1p(-p);
+    Rng r(0xC0FFEE);
+    for (int i = 0; i < 10'000'000; ++i) {
+        const double u = r.real();
+        ASSERT_EQ(t.gap(u, 4096),
+                  GeometricGapTable::reference(u, logQ, 4096))
+            << "p=" << p << " u=" << u;
+    }
+}
+
+TEST_P(GeometricGapExactnessTest, MatchesLibmAroundEveryBinEdge)
+{
+    const double p = GetParam();
+    GeometricGapTable t;
+    t.build(p);
+    const double logQ = std::log1p(-p);
+    const std::uint64_t window = 1ULL << 16;
+    for (std::size_t j = 0; j < t.entries(); ++j) {
+        // m = 1 - u crosses M_j = q^(j+1) at k = (1 - M_j) * 2^53.
+        const double mj = std::exp(static_cast<double>(j + 1) * logQ);
+        const double kEdge = (1.0 - mj) * 0x1.0p53;
+        const std::uint64_t edge =
+            kEdge < static_cast<double>(kLastDraw)
+            ? static_cast<std::uint64_t>(kEdge)
+            : kLastDraw;
+        const std::uint64_t lo = edge > window ? edge - window : 0;
+        const std::uint64_t hi = std::min(edge + window, kLastDraw);
+        // The window straddles the edge: the reference gap grows.
+        ASSERT_LT(GeometricGapTable::reference(drawOf(lo), logQ, 4096),
+                  GeometricGapTable::reference(drawOf(hi), logQ, 4096))
+            << "p=" << p << " j=" << j;
+        for (std::uint64_t k = lo; k <= hi; ++k) {
+            const double u = drawOf(k);
+            for (std::uint64_t maxGap : {4096ULL, 50ULL}) {
+                ASSERT_EQ(t.gap(u, maxGap),
+                          GeometricGapTable::reference(u, logQ, maxGap))
+                    << "p=" << p << " j=" << j << " k=" << k
+                    << " maxGap=" << maxGap;
+            }
+        }
+    }
+}
+
+TEST_P(GeometricGapExactnessTest, ClampsAtMaxGap)
+{
+    const double p = GetParam();
+    GeometricGapTable t;
+    t.build(p);
+    const double logQ = std::log1p(-p);
+    // The extreme draws: m = 1 (gap 0) and m = 2^-53 (the longest
+    // gap, past a clamp of 50 for every Table-2 fraction).
+    const std::uint64_t extremes[] = {0, 1, kLastDraw - 1, kLastDraw};
+    for (std::uint64_t maxGap : {0ULL, 1ULL, 50ULL, 4096ULL}) {
+        for (std::uint64_t k : extremes) {
+            EXPECT_EQ(t.gap(drawOf(k), maxGap),
+                      GeometricGapTable::reference(drawOf(k), logQ,
+                                                   maxGap))
+                << "k=" << k << " maxGap=" << maxGap;
+        }
+    }
+    EXPECT_EQ(t.gap(drawOf(kLastDraw), 50), 50u);
+    EXPECT_LT(t.gap(drawOf(kLastDraw), 4096), 4096u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Table2MemOpFractions, GeometricGapExactnessTest,
+                         ::testing::Values(0.30, 0.35, 0.40, 0.45));
+
+TEST(GeometricGapTableTest, SmallPKeepsTheLibmPath)
+{
+    for (double p : {0.1, 0.001}) {
+        GeometricGapTable t;
+        t.build(p);
+        EXPECT_EQ(t.entries(), 0u) << p;
+        const double logQ = std::log1p(-p);
+        Rng r(17);
+        for (int i = 0; i < 100000; ++i) {
+            const double u = r.real();
+            for (std::uint64_t maxGap : {4096ULL, 50ULL}) {
+                ASSERT_EQ(t.gap(u, maxGap),
+                          GeometricGapTable::reference(u, logQ, maxGap))
+                    << "p=" << p << " u=" << u;
+            }
+        }
+    }
+}
+
+TEST(GeometricGapTableTest, RngDrawsOneRealPerGapAcrossPChanges)
+{
+    // A macro-phase switch changes p mid-stream; every call must
+    // still consume exactly one real() and map it like libm.
+    Rng a(99), b(99);
+    const double ps[] = {0.30, 0.45, 0.1, 0.35, 0.40, 0.001, 0.30};
+    for (double p : ps) {
+        const double logQ = std::log1p(-p);
+        for (int i = 0; i < 20000; ++i) {
+            ASSERT_EQ(a.geometric(p, 4096),
+                      GeometricGapTable::reference(b.real(), logQ, 4096))
+                << "p=" << p << " i=" << i;
+        }
+    }
 }
 
 TEST(CounterRngTest, PureFunctionOfSeedStreamCounter)

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 
@@ -128,6 +130,42 @@ TEST_F(TraceFileTest, TruncatedFileIsFatal)
     // Chop the file short.
     std::filesystem::resize_file(path_, 16 + 50 * 16 + 7);
     EXPECT_THROW(readTraceFile(path_), FatalError);
+}
+
+/** Rewrite the header of the trace at @p path in place. */
+void
+patchHeader(const std::string &path, std::uint64_t count, double baseCpi)
+{
+    std::FILE *f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    // Header layout: magic[4], version (u32), count (u64), baseCpi.
+    std::fseek(f, 8, SEEK_SET);
+    std::fwrite(&count, sizeof(count), 1, f);
+    std::fwrite(&baseCpi, sizeof(baseCpi), 1, f);
+    std::fclose(f);
+}
+
+TEST_F(TraceFileTest, ForgedEntryCountIsFatal)
+{
+    SyntheticTraceGenerator gen(profile(), 3, 8 * kMiB);
+    writeTraceFile(path_, recordTrace(gen, 100), 0.5);
+    for (std::uint64_t count : {101ULL, 1ULL << 62, ~0ULL}) {
+        patchHeader(path_, count, 0.5);
+        EXPECT_THROW(readTraceFile(path_), FatalError) << count;
+    }
+    patchHeader(path_, 100, 0.5);
+    EXPECT_EQ(readTraceFile(path_).entries.size(), 100u);
+}
+
+TEST_F(TraceFileTest, NonPositiveOrNonFiniteBaseCpiIsFatal)
+{
+    SyntheticTraceGenerator gen(profile(), 3, 8 * kMiB);
+    writeTraceFile(path_, recordTrace(gen, 10), 0.5);
+    for (double cpi : {std::nan(""), HUGE_VAL, -HUGE_VAL, 0.0, -1.0}) {
+        patchHeader(path_, 10, cpi);
+        EXPECT_THROW(readTraceFile(path_), FatalError) << cpi;
+        EXPECT_THROW(ReplaySource{path_}, FatalError) << cpi;
+    }
 }
 
 } // namespace
