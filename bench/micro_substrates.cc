@@ -110,6 +110,18 @@ BM_CacheAccess(benchmark::State &state)
 BENCHMARK(BM_CacheAccess);
 
 void
+BM_GeometricGap(benchmark::State &state)
+{
+    // One instruction gap as the trace generator draws it, at a
+    // Table-2 memOpFraction given in percent.
+    const double p = static_cast<double>(state.range(0)) / 100.0;
+    Rng rng(5);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(rng.geometric(p, 4096));
+}
+BENCHMARK(BM_GeometricGap)->Arg(30)->Arg(35)->Arg(40)->Arg(45);
+
+void
 BM_TraceGeneration(benchmark::State &state)
 {
     const auto &prof = workload::profileByName("mcf");

@@ -54,12 +54,14 @@ Cache::setBase(Addr paddr) const
 std::size_t
 Cache::findIn(std::size_t base, Addr key) const
 {
+    // Keys are unique within a set and the invalid key 0 is never
+    // looked up, so at most one way matches: scan them all and keep
+    // it with a select rather than exiting at a random way.
     const Addr *k = keys_.data() + base;
-    for (std::size_t w = 0; w < assoc_; ++w) {
-        if (k[w] == key)
-            return base + w;
-    }
-    return kNoSlot;
+    std::size_t slot = kNoSlot;
+    for (std::size_t w = 0; w < assoc_; ++w)
+        slot = k[w] == key ? base + w : slot;
+    return slot;
 }
 
 bool

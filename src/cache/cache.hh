@@ -103,8 +103,8 @@ class Cache
     /** First slot of @p paddr's set in the parallel arrays. */
     std::size_t setBase(Addr paddr) const;
 
-    /** Slot holding key @p key in the set starting at @p base, or
-     *  kNoSlot. */
+    /** Slot holding key @p key (never 0) in the set starting at
+     *  @p base, or kNoSlot. */
     std::size_t findIn(std::size_t base, Addr key) const;
 
     /** Allocate @p key into the set starting at @p base: the first

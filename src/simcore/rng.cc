@@ -2,6 +2,8 @@
 
 #include <array>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 namespace refsched
 {
@@ -62,19 +64,38 @@ GeometricGapTable::build(double p)
 {
     p_ = p;
     logQ_ = std::log1p(-p);
-    std::array<Edge, kMaxEntries> buf;
-    for (std::size_t j = 0; j < kMaxEntries; ++j) {
+    std::array<Guard, kMaxEntries + 1> buf{};
+    buf[0].belowPrev = std::numeric_limits<double>::infinity();
+    std::size_t n = 0;
+    for (std::size_t j = 0; j < kMaxEntries && n == 0; ++j) {
         const double mj =
             std::exp(static_cast<double>(j + 1) * logQ_);
-        buf[j] = Edge{mj * (1.0 + kGuard), mj * (1.0 - kGuard)};
-        // Every m = 1 - u is at least 2^-53, so no draw scans past
+        buf[j].above = mj * (1.0 + kGuard);
+        buf[j + 1] = Guard{0.0, mj * (1.0 - kGuard)};
+        // Every m = 1 - u is at least 2^-53, so no draw looks past
         // a threshold whose guard band lies below that.
-        if (buf[j].above < 0x1.0p-53) {
-            edges_.assign(buf.begin(), buf.begin() + j + 1);
-            return;
-        }
+        if (buf[j].above < 0x1.0p-53)
+            n = j + 1;
     }
-    edges_.clear();
+    if (n == 0) {
+        guards_.clear();
+        return;
+    }
+    guards_.assign(buf.begin(), buf.begin() + n + 1);
+
+    // One pass from the top bucket down: its upper bound falls, so
+    // the count of guards at or above it only grows.  The last guard
+    // lies below 2^-53, under every bucket, so no count reaches n
+    // and guards_[lead].above is always a real threshold's.
+    std::size_t lead = 0;
+    for (std::size_t b = kBuckets; b-- > 0;) {
+        const std::uint64_t hiBits = (kLowestKey + b + 1) << 48;
+        double hi;
+        std::memcpy(&hi, &hiBits, sizeof hi);
+        while (guards_[lead].above >= hi)
+            ++lead;
+        lead_[b] = static_cast<std::uint8_t>(lead);
+    }
 }
 
 std::uint64_t

@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 namespace refsched
@@ -107,15 +108,23 @@ class CounterRng
  * produces -- that gap is the first j with m > M_j, where
  * M_j = q^(j+1) and q = 1 - p.  build() tabulates the thresholds
  * when at most kMaxEntries of them lie above 2^-53 (p >~ 0.134), and
- * gap() then scans them instead of calling libm.
+ * gap() then looks the answer up instead of calling libm.
+ *
+ * Lookup: the top 16 bits of m's IEEE encoding (exponent plus four
+ * mantissa bits) name one of kBuckets buckets covering [2^-53, 1],
+ * each spanning a ratio of at most 17/16.  Consecutive thresholds
+ * differ by the ratio 1/q > 17/16, so a bucket holds at most one
+ * upper guard.  lead_[b] counts the guards at or above bucket b's
+ * upper bound; the gap is that count plus one when m also lies at or
+ * below the next guard -- no data-dependent branch.
  *
  * Exactness: libm's quotient is within a few ulps of the true one,
  * and the thresholds within ~1e-14 relative, so the two mappings can
  * only disagree when m lies within a relative ~1e-13 of M_j.  gap()
  * takes the libm expression whenever m lies within the much wider
- * relative kGuard of the deciding threshold, or past the table, so
- * it returns the reference value for every draw.  Other values of p
- * get no table and always take the libm expression.
+ * relative kGuard of the deciding threshold, so it returns the
+ * reference value for every draw.  Other values of p get no table
+ * and always take the libm expression.
  */
 class GeometricGapTable
 {
@@ -124,6 +133,10 @@ class GeometricGapTable
     static constexpr std::size_t kMaxEntries = 256;
     /** Relative guard band around each threshold. */
     static constexpr double kGuard = 1e-9;
+    /** Top 16 bits of the doubles 2^-53 and 1: the bucket range. */
+    static constexpr std::uint64_t kLowestKey = 0x3CA0;
+    static constexpr std::uint64_t kHighestKey = 0x3FF0;
+    static constexpr std::size_t kBuckets = kHighestKey - kLowestKey + 1;
 
     /** (Re)build for success probability @p p in (0, 1). */
     void build(double p);
@@ -132,7 +145,11 @@ class GeometricGapTable
     double p() const { return p_; }
 
     /** Number of thresholds; 0 when p takes the libm path only. */
-    std::size_t entries() const { return edges_.size(); }
+    std::size_t
+    entries() const
+    {
+        return guards_.empty() ? 0 : guards_.size() - 1;
+    }
 
     /**
      * Gap for the draw @p u = k * 2^-53, clamped to @p maxGap;
@@ -141,19 +158,31 @@ class GeometricGapTable
     std::uint64_t
     gap(double u, std::uint64_t maxGap) const
     {
+        if (guards_.empty())
+            return reference(u, logQ_, maxGap);
         const double m = 1.0 - u;
-        const std::size_t n =
-            edges_.size() < maxGap ? edges_.size() : maxGap;
-        const Edge *e = edges_.data();
-        for (std::size_t j = 0; j < n; ++j) {
-            if (m > e[j].above)
-                return j;
-            if (m >= e[j].below)
-                return reference(u, logQ_, maxGap);
-        }
-        // Every scanned threshold lies safely above m: the gap is at
-        // least n, which is the answer once n reached the clamp.
-        return n == maxGap ? maxGap : reference(u, logQ_, maxGap);
+        const std::size_t g = guardsAbove(m);
+        // m inside M_{g-1}'s band (never for g = 0: the sentinel).
+        const bool guarded = m >= guards_[g].belowPrev;
+        if (g < maxGap)
+            return guarded ? reference(u, logQ_, maxGap) : g;
+        // At or past the clamp: only M_{maxGap-1}'s band can pull
+        // the gap below it.
+        return g == maxGap && guarded ? reference(u, logQ_, maxGap)
+                                      : maxGap;
+    }
+
+    /**
+     * Number of upper guards M_j * (1 + kGuard) at or above @p m in
+     * [2^-53, 1], for a tabled p: the gap of m unless m lies in the
+     * guard band of M_{g-1}.
+     */
+    std::size_t
+    guardsAbove(double m) const
+    {
+        // The bucket's lead, plus its own guard if m is at or below it.
+        const std::size_t lead = lead_[bucketOf(m)];
+        return lead + (m <= guards_[lead].above);
     }
 
     /** The libm mapping floor(log1p(-u) / logQ), clamped. */
@@ -161,16 +190,35 @@ class GeometricGapTable
                                    std::uint64_t maxGap);
 
   private:
-    /** M_j * (1 + kGuard) and M_j * (1 - kGuard). */
-    struct Edge
+    static_assert(kMaxEntries <= 256, "lead_ holds counts in a byte");
+
+    /** Slot j of guards_: M_j's upper guard M_j * (1 + kGuard) and
+     *  M_{j-1}'s lower guard M_{j-1} * (1 - kGuard).  Slot 0's lower
+     *  guard is a sentinel above every m; the last slot, one past the
+     *  thresholds, has only its lower guard. */
+    struct Guard
     {
         double above;
-        double below;
+        double belowPrev;
     };
+
+    /** Bucket of m in [2^-53, 1]; out-of-contract m clamps into range
+     *  so a bad draw cannot index past lead_. */
+    static std::size_t
+    bucketOf(double m)
+    {
+        std::uint64_t bits;
+        std::memcpy(&bits, &m, sizeof bits);
+        const std::uint64_t b = (bits >> 48) - kLowestKey;
+        return b < kBuckets ? b : kBuckets - 1;
+    }
 
     double p_ = -1.0;
     double logQ_ = 0.0;
-    std::vector<Edge> edges_;
+    /** Threshold count at or above each bucket's upper bound. */
+    std::uint8_t lead_[kBuckets] = {};
+    /** entries() + 1 slots; empty when p takes the libm path only. */
+    std::vector<Guard> guards_;
 };
 
 /** xoshiro256** PRNG with splitmix64 seeding. */

@@ -1,6 +1,9 @@
 #include "workload/profile.hh"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -9,6 +12,63 @@
 
 namespace refsched::workload
 {
+
+namespace
+{
+
+/** Runs @p conv (a strto* call) over all of @p tok; FatalError
+ *  unless it consumed every character without a range error. */
+template <typename Conv>
+auto
+parseWhole(const std::string &tok, const char *what, const char *kind,
+           Conv conv)
+{
+    // strto* skip leading space; a token must start with the number.
+    if (tok.empty() || std::isspace(static_cast<unsigned char>(tok[0])))
+        fatal(what, ": expected ", kind, ", got '", tok, "'");
+    char *end = nullptr;
+    errno = 0;
+    const auto v = conv(tok.c_str(), &end);
+    if (end != tok.c_str() + tok.size() || errno == ERANGE)
+        fatal(what, ": expected ", kind, ", got '", tok, "'");
+    return v;
+}
+
+} // namespace
+
+std::uint64_t
+parseUnsignedToken(const std::string &tok, const char *what)
+{
+    // strtoull negates a leading '-' modulo 2^64.
+    if (!tok.empty() && !std::isdigit(static_cast<unsigned char>(tok[0])))
+        fatal(what, ": expected an unsigned integer, got '", tok, "'");
+    return parseWhole(tok, what, "an unsigned integer",
+                      [](const char *s, char **end)
+                      { return std::strtoull(s, end, 10); });
+}
+
+std::int64_t
+parseSignedToken(const std::string &tok, const char *what,
+                 std::int64_t lo, std::int64_t hi)
+{
+    const std::int64_t v = parseWhole(tok, what, "an integer",
+                                      [](const char *s, char **end)
+                                      { return std::strtoll(s, end, 10); });
+    if (v < lo || v > hi)
+        fatal(what, ": ", v, " out of [", lo, ", ", hi, "]");
+    return v;
+}
+
+double
+parseFiniteToken(const std::string &tok, const char *what)
+{
+    const double v = parseWhole(tok, what, "a number",
+                                [](const char *s, char **end)
+                                { return std::strtod(s, end); });
+    if (!std::isfinite(v))
+        fatal(what, ": expected a finite number, got '", tok, "'");
+    return v;
+}
 
 double
 PhaseSchedule::maxFootprintScale() const
@@ -53,10 +113,10 @@ PhaseSchedule::parse(const std::string &text)
                   "' (want profile@instrs@scale)");
         PhaseSpec spec;
         spec.profile = item.substr(0, a);
-        spec.instrs = std::strtoull(
-            item.substr(a + 1, b - a - 1).c_str(), nullptr, 10);
-        spec.footprintScale =
-            std::strtod(item.substr(b + 1).c_str(), nullptr);
+        spec.instrs = parseUnsignedToken(item.substr(a + 1, b - a - 1),
+                                         "phase instruction budget");
+        spec.footprintScale = parseFiniteToken(item.substr(b + 1),
+                                               "phase footprintScale");
         sched.phases.push_back(std::move(spec));
     }
     sched.check();
@@ -70,7 +130,8 @@ PhaseSchedule::check() const
         profileByName(p.profile);  // fatal on unknown name
         if (p.instrs == 0)
             fatal("phase '", p.profile, "': zero instruction budget");
-        if (p.footprintScale <= 0.0 || p.footprintScale > 16.0)
+        // Written so that NaN fails too.
+        if (!(p.footprintScale > 0.0 && p.footprintScale <= 16.0))
             fatal("phase '", p.profile, "': footprintScale ",
                   p.footprintScale, " out of (0,16]");
     }

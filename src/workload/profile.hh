@@ -54,6 +54,21 @@ struct PhaseSpec
 };
 
 /**
+ * Whole-token number parsing for scenario and phase text, which is
+ * untrusted input.  Each throws FatalError, naming @p what, unless
+ * the entire token is one number of the field's kind: no surrounding
+ * space or trailing characters, no sign on an unsigned field, no
+ * overflow, a value in [@p lo, @p hi] for a signed field and a
+ * finite value for a real one.  Other range checks stay with the
+ * caller.
+ */
+std::uint64_t parseUnsignedToken(const std::string &tok,
+                                 const char *what);
+std::int64_t parseSignedToken(const std::string &tok, const char *what,
+                              std::int64_t lo, std::int64_t hi);
+double parseFiniteToken(const std::string &tok, const char *what);
+
+/**
  * A cyclic schedule of macro-phases (empty = the task keeps its base
  * profile forever).  Unlike the micro mem/compute alternation built
  * into BenchmarkProfile, a macro-phase switch changes the MPKI class

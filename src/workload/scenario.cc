@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "simcore/logging.hh"
@@ -49,15 +50,17 @@ parseEvent(const std::string &body)
               "' (want <q>:spawn:... or <q>:kill:<pid>)");
 
     ScenarioEvent ev;
-    ev.quantum = std::strtoull(parts[0].c_str(), nullptr, 10);
+    ev.quantum = parseUnsignedToken(parts[0], "scenario: event quantum");
 
     if (parts[1] == "kill") {
         if (parts.size() != 3)
             fatal("scenario: bad kill event '", body,
                   "' (want <q>:kill:<pid>)");
         ev.kind = ScenarioEventKind::Kill;
-        ev.pid = static_cast<Pid>(
-            std::strtoll(parts[2].c_str(), nullptr, 10));
+        ev.pid = static_cast<Pid>(parseSignedToken(
+            parts[2], "scenario: kill pid",
+            std::numeric_limits<Pid>::min(),
+            std::numeric_limits<Pid>::max()));
         return ev;
     }
     if (parts[1] != "spawn")
@@ -76,18 +79,22 @@ parseEvent(const std::string &body)
                   "'");
         const std::string key = opt.substr(0, eq);
         const std::string val = opt.substr(eq + 1);
-        if (key == "fp")
-            ev.footprintScale = std::strtod(val.c_str(), nullptr);
-        else if (key == "cpu")
+        if (key == "fp") {
+            ev.footprintScale =
+                parseFiniteToken(val, "scenario: spawn fp");
+        } else if (key == "cpu") {
+            // -1 keeps the least-loaded default.
             ev.cpu = static_cast<int>(
-                std::strtol(val.c_str(), nullptr, 10));
-        else if (key == "adv")
+                parseSignedToken(val, "scenario: spawn cpu", -1,
+                                 std::numeric_limits<int>::max()));
+        } else if (key == "adv") {
             ev.adversarial = parseBool01(val, "adv");
-        else if (key == "phases")
+        } else if (key == "phases") {
             ev.phases = PhaseSchedule::parse(val);
-        else
+        } else {
             fatal("scenario: unknown spawn option '", key, "' in '",
                   body, "'");
+        }
     }
     return ev;
 }
@@ -167,8 +174,10 @@ ScenarioScript::parse(const std::string &text)
             if (colon == std::string::npos)
                 fatal("scenario: bad phase directive '", line,
                       "' (want phase=<taskIdx>:<schedule>)");
-            const int idx = static_cast<int>(std::strtol(
-                val.substr(0, colon).c_str(), nullptr, 10));
+            const int idx = static_cast<int>(parseSignedToken(
+                val.substr(0, colon), "scenario: phase task index",
+                std::numeric_limits<int>::min(),
+                std::numeric_limits<int>::max()));
             script.initialPhases.emplace_back(
                 idx, PhaseSchedule::parse(val.substr(colon + 1)));
         } else if (key == "ev") {
@@ -216,7 +225,8 @@ ScenarioScript::check() const
             continue;
         }
         profileByName(ev.benchmark);  // fatal on unknown name
-        if (ev.footprintScale <= 0.0 || ev.footprintScale > 16.0)
+        // Written so that NaN fails too.
+        if (!(ev.footprintScale > 0.0 && ev.footprintScale <= 16.0))
             fatal("scenario: spawn footprintScale ", ev.footprintScale,
                   " out of (0,16]");
         ev.phases.check();

@@ -141,6 +141,103 @@ drawOf(std::uint64_t k)
 
 constexpr std::uint64_t kLastDraw = (1ULL << 53) - 1;
 
+/**
+ * The threshold scan GeometricGapTable used before its bucket index,
+ * kept verbatim as the reference the lookup must match draw for draw.
+ */
+class ScanGapTable
+{
+  public:
+    explicit ScanGapTable(double p) : logQ_(std::log1p(-p))
+    {
+        for (std::size_t j = 0; j < GeometricGapTable::kMaxEntries; ++j) {
+            const double mj =
+                std::exp(static_cast<double>(j + 1) * logQ_);
+            edges_.push_back(Edge{mj * (1.0 + GeometricGapTable::kGuard),
+                                  mj * (1.0 - GeometricGapTable::kGuard)});
+            if (edges_.back().above < 0x1.0p-53)
+                return;
+        }
+        edges_.clear();
+    }
+
+    std::size_t entries() const { return edges_.size(); }
+
+    std::uint64_t
+    gap(double u, std::uint64_t maxGap) const
+    {
+        const double m = 1.0 - u;
+        const std::size_t n =
+            edges_.size() < maxGap ? edges_.size() : maxGap;
+        for (std::size_t j = 0; j < n; ++j) {
+            if (m > edges_[j].above)
+                return j;
+            if (m >= edges_[j].below)
+                return GeometricGapTable::reference(u, logQ_, maxGap);
+        }
+        return n == maxGap ? maxGap
+                           : GeometricGapTable::reference(u, logQ_, maxGap);
+    }
+
+  private:
+    struct Edge
+    {
+        double above;
+        double below;
+    };
+
+    double logQ_;
+    std::vector<Edge> edges_;
+};
+
+constexpr std::uint64_t kClamps[] = {4096, 50, 3, 1, 0};
+
+/** Draw indices within @p radius draws of m = @p m (m = 1 - u). */
+std::vector<std::uint64_t>
+drawsAround(double m, std::uint64_t radius)
+{
+    const double kCenter = std::round((1.0 - m) * 0x1.0p53);
+    const std::uint64_t c = kCenter < static_cast<double>(kLastDraw)
+        ? static_cast<std::uint64_t>(std::max(kCenter, 0.0))
+        : kLastDraw;
+    std::vector<std::uint64_t> ks;
+    for (std::uint64_t k = c > radius ? c - radius : 0;
+         k <= std::min(c + radius, kLastDraw); ++k)
+        ks.push_back(k);
+    return ks;
+}
+
+/** Every bucket boundary m = 2^e * (1 + k/16) in [2^-53, 1]. */
+std::vector<double>
+bucketBoundaries()
+{
+    std::vector<double> ms;
+    for (int e = -53; e <= 0; ++e) {
+        for (int k = 0; k < 16; ++k) {
+            const double m = std::ldexp(1.0 + k / 16.0, e);
+            if (m <= 1.0)
+                ms.push_back(m);
+        }
+    }
+    return ms;
+}
+
+/** Asserts the lookup, the scan and libm agree on draw @p k. */
+void
+expectAllAgree(const GeometricGapTable &t, const ScanGapTable &scan,
+               double p, std::uint64_t k)
+{
+    const double u = drawOf(k);
+    const double logQ = std::log1p(-p);
+    for (std::uint64_t maxGap : kClamps) {
+        const std::uint64_t got = t.gap(u, maxGap);
+        ASSERT_EQ(got, scan.gap(u, maxGap))
+            << "p=" << p << " k=" << k << " maxGap=" << maxGap;
+        ASSERT_EQ(got, GeometricGapTable::reference(u, logQ, maxGap))
+            << "p=" << p << " k=" << k << " maxGap=" << maxGap;
+    }
+}
+
 /** Table-2 memOpFraction values: each gets a threshold table. */
 class GeometricGapExactnessTest : public ::testing::TestWithParam<double>
 {
@@ -217,6 +314,38 @@ TEST_P(GeometricGapExactnessTest, ClampsAtMaxGap)
     EXPECT_LT(t.gap(drawOf(kLastDraw), 4096), 4096u);
 }
 
+TEST_P(GeometricGapExactnessTest, MatchesLibmAroundEveryBucketBoundary)
+{
+    const double p = GetParam();
+    GeometricGapTable t;
+    t.build(p);
+    const ScanGapTable scan(p);
+    for (double m : bucketBoundaries()) {
+        for (std::uint64_t k : drawsAround(m, 4))
+            expectAllAgree(t, scan, p, k);
+    }
+    // Both ends of u: m = 1 and m = 2^-53.
+    expectAllAgree(t, scan, p, 0);
+    expectAllAgree(t, scan, p, kLastDraw);
+}
+
+TEST_P(GeometricGapExactnessTest, MatchesTheThresholdScanDrawForDraw)
+{
+    const double p = GetParam();
+    GeometricGapTable t;
+    t.build(p);
+    const ScanGapTable scan(p);
+    ASSERT_EQ(t.entries(), scan.entries());
+    Rng r(0x5CA11);
+    for (int i = 0; i < 1'000'000; ++i) {
+        const double u = r.real();
+        for (std::uint64_t maxGap : kClamps) {
+            ASSERT_EQ(t.gap(u, maxGap), scan.gap(u, maxGap))
+                << "p=" << p << " u=" << u << " maxGap=" << maxGap;
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(Table2MemOpFractions, GeometricGapExactnessTest,
                          ::testing::Values(0.30, 0.35, 0.40, 0.45));
 
@@ -236,6 +365,103 @@ TEST(GeometricGapTableTest, SmallPKeepsTheLibmPath)
                     << "p=" << p << " u=" << u;
             }
         }
+    }
+}
+
+TEST(GeometricGapTableTest, MatchesTheThresholdScanForEveryRegime)
+{
+    // Tabled fractions from near the cut-off to a one-entry table,
+    // then two that keep the libm path; one table object is rebuilt
+    // across them, as Rng::geometric does on a phase switch.
+    GeometricGapTable t;
+    for (double p : {0.14, 0.2, 0.3, 0.35, 0.4, 0.45, 0.6, 0.9, 0.1,
+                     0.001}) {
+        t.build(p);
+        const ScanGapTable scan(p);
+        ASSERT_EQ(t.entries(), scan.entries()) << p;
+        Rng r(23);
+        for (int i = 0; i < 200'000; ++i)
+            expectAllAgree(t, scan, p, r.next() >> 11);
+        const double logQ = std::log1p(-p);
+        for (std::size_t j = 0; j < scan.entries(); ++j) {
+            const double mj =
+                std::exp(static_cast<double>(j + 1) * logQ);
+            for (std::uint64_t k : drawsAround(mj, 2048))
+                expectAllAgree(t, scan, p, k);
+        }
+        for (double m : bucketBoundaries()) {
+            for (std::uint64_t k : drawsAround(m, 4))
+                expectAllAgree(t, scan, p, k);
+        }
+    }
+}
+
+TEST(GeometricGapTableTest, BucketIndexCountsEveryGuardExactly)
+{
+    // The bucket lookup against a brute-force count of the upper
+    // guards, at each guard itself, its neighbouring doubles, every
+    // bucket boundary and random m; a miscounted lead_ would still
+    // give exact gaps through the libm fallback, only slower.
+    for (double p : {0.14, 0.3, 0.45, 0.9}) {
+        GeometricGapTable t;
+        t.build(p);
+        const double logQ = std::log1p(-p);
+        std::vector<double> guards;
+        for (std::size_t j = 0; j < t.entries(); ++j) {
+            guards.push_back(
+                std::exp(static_cast<double>(j + 1) * logQ)
+                * (1.0 + GeometricGapTable::kGuard));
+        }
+        auto count = [&](double m) {
+            return static_cast<std::size_t>(
+                std::count_if(guards.begin(), guards.end(),
+                              [m](double a) { return a >= m; }));
+        };
+        std::vector<double> ms = bucketBoundaries();
+        for (double a : guards) {
+            ms.push_back(a);
+            ms.push_back(std::nextafter(a, 0.0));
+            ms.push_back(std::nextafter(a, 2.0));
+        }
+        Rng r(31);
+        for (int i = 0; i < 100'000; ++i)
+            ms.push_back(1.0 - r.real());
+        for (double m : ms) {
+            if (m < 0x1.0p-53 || m > 1.0)
+                continue;
+            ASSERT_EQ(t.guardsAbove(m), count(m)) << "p=" << p << " m=" << m;
+        }
+    }
+}
+
+TEST(GeometricGapTableTest, LargestTableReachesTheLastBucket)
+{
+    // The smallest tabled p: bisect for the cut-off below which the
+    // table would need more than kMaxEntries thresholds.
+    double lo = 0.1, hi = 0.2;
+    for (int i = 0; i < 100; ++i) {
+        const double mid = 0.5 * (lo + hi);
+        GeometricGapTable probe;
+        probe.build(mid);
+        (probe.entries() > 0 ? hi : lo) = mid;
+    }
+    GeometricGapTable t;
+    t.build(hi);
+    ASSERT_EQ(t.entries(), GeometricGapTable::kMaxEntries) << hi;
+    const ScanGapTable scan(hi);
+    // m = 2^-53 lies in the lowest bucket, under all but the last
+    // guard: its count reaches 255.
+    EXPECT_EQ(t.guardsAbove(0x1.0p-53), 255u);
+    EXPECT_EQ(t.guardsAbove(0x1.1p-53), 255u);
+    EXPECT_EQ(t.gap(drawOf(kLastDraw), 4096), 255u);
+    expectAllAgree(t, scan, hi, kLastDraw);
+    expectAllAgree(t, scan, hi, 0);
+    Rng r(29);
+    for (int i = 0; i < 200'000; ++i)
+        expectAllAgree(t, scan, hi, r.next() >> 11);
+    for (double m : bucketBoundaries()) {
+        for (std::uint64_t k : drawsAround(m, 4))
+            expectAllAgree(t, scan, hi, k);
     }
 }
 

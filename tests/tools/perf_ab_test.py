@@ -1,0 +1,120 @@
+#!/usr/bin/env python3
+"""Tests for tools/perf_ab.py's parsing and summary, on fixtures.
+
+  python3 tests/tools/perf_ab_test.py
+"""
+
+import io
+import json
+import os
+import sys
+import tempfile
+import unittest
+from contextlib import redirect_stdout
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+DATA = os.path.join(HERE, "data")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(HERE)),
+                                "tools"))
+
+import perf_ab  # noqa: E402
+
+
+def load_results():
+    with open(os.path.join(DATA, "perf_ab_results.json")) as f:
+        return json.load(f)
+
+
+class ParseRunTest(unittest.TestCase):
+    def test_contract_metrics_and_artifact_extras(self):
+        with open(os.path.join(DATA, "perf_ab_stdout.txt")) as f:
+            stdout = f.read()
+        run = perf_ab.parse_run(stdout,
+                                os.path.join(DATA, "perf_ab_artifact.json"))
+        self.assertTrue(run["correct"])
+        self.assertEqual(run["fingerprint"], "dcb12d4f089aaa08")
+        # The contract line wins over the artifact's samples.
+        self.assertEqual(run["metrics"]["simcore.events"], 5763570.0)
+        # Metrics only in the artifact use their summary statistic.
+        self.assertEqual(run["metrics"]["wall_s"], 4.05)
+        self.assertAlmostEqual(run["metrics"]["setup_s"], 0.11)
+        self.assertEqual(run["span_self_ms_per_pass"]["core.run"], 14658.0)
+
+
+class SummarizeTest(unittest.TestCase):
+    def setUp(self):
+        self.results = load_results()
+        self.summary = perf_ab.summarize(self.results)
+
+    def test_claimed_metric_quartiles_and_wins(self):
+        s = self.summary["paper-grid"]
+        wall = s["metrics"]["wall_s"]
+        self.assertEqual(s["pairs"], 10)
+        self.assertAlmostEqual(wall["parent"]["median"], 5.0)
+        self.assertAlmostEqual(wall["parent"]["q1"], 4.875)
+        self.assertAlmostEqual(wall["parent"]["q3"], 5.2)
+        self.assertAlmostEqual(wall["parent"]["iqr"], 0.325)
+        self.assertAlmostEqual(wall["change"]["median"], 3.95)
+        self.assertEqual(s["wins"], 9)
+        self.assertAlmostEqual(s["speedup"], 5.0 / 3.95)
+        self.assertTrue(s["gain_clears"])
+        self.assertTrue(s["fingerprints_equal"])
+        self.assertTrue(s["correct"])
+        self.assertEqual(s["max_steal_ticks"], 7)
+
+    def test_split_wins_and_differing_fingerprints(self):
+        s = self.summary["churn-migrate"]
+        self.assertEqual(s["wins"], 1)
+        self.assertFalse(s["gain_clears"])
+        self.assertFalse(s["fingerprints_equal"])
+
+    def test_report_names_the_verdicts(self):
+        text = perf_ab.report(self.results, self.summary)
+        self.assertIn("wall_s wins 9/10 speedup 1.266x gain clears", text)
+        self.assertIn("fingerprints equal (dcb12d4f089aaa08)", text)
+        self.assertIn("fingerprints DIFFER", text)
+
+    def test_trajectory_rows(self):
+        rows = perf_ab.trajectory_rows("label", self.results, self.summary)
+        self.assertEqual([r["workload"] for r in rows],
+                         ["paper-grid", "churn-migrate"])
+        row = rows[0]
+        self.assertEqual(row["parent"], "e4d1b19")
+        self.assertEqual(row["change"], "worktree@e4d1b19")
+        self.assertEqual(row["parent_median"], 5.0)
+        self.assertEqual(row["change_median"], 3.95)
+        self.assertEqual(row["wins"], 9)
+        self.assertEqual(row["speedup"], 1.266)
+
+    def test_summarize_command_records_to_the_trajectory(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            traj = os.path.join(tmp, "trajectory.jsonl")
+            saved = perf_ab.TRAJECTORY
+            perf_ab.TRAJECTORY = traj
+            try:
+                sys.argv = ["perf_ab.py", "summarize",
+                            os.path.join(DATA, "perf_ab_results.json"),
+                            "--record", "fixture"]
+                with redirect_stdout(io.StringIO()):
+                    self.assertEqual(perf_ab.main(), 0)
+            finally:
+                perf_ab.TRAJECTORY = saved
+            with open(traj) as f:
+                rows = [json.loads(line) for line in f]
+        self.assertEqual(len(rows), 2)
+        self.assertEqual(rows[0]["label"], "fixture")
+
+
+class TrajectoryFileTest(unittest.TestCase):
+    def test_checked_in_rows_parse(self):
+        keys = set(perf_ab.trajectory_rows(
+            "x", load_results(), perf_ab.summarize(load_results()))[0])
+        with open(perf_ab.TRAJECTORY) as f:
+            rows = [json.loads(line) for line in f if line.strip()]
+        self.assertTrue(rows)
+        for row in rows:
+            self.assertEqual(set(row), keys)
+
+
+if __name__ == "__main__":
+    unittest.main()

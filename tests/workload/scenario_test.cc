@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "simcore/logging.hh"
 #include "simcore/rng.hh"
 #include "workload/trace_generator.hh"
@@ -99,6 +101,55 @@ TEST(ScenarioScriptTest, RejectsInvalidScripts)
                  FatalError);
     EXPECT_THROW(ScenarioScript::parse("migrate=2\n"), FatalError);
     EXPECT_THROW(ScenarioScript::parse("bogus=1\n"), FatalError);
+}
+
+TEST(ScenarioScriptTest, RejectsMalformedNumbers)
+{
+    // NaN fails every range comparison, so it must be caught as
+    // non-finite before it reaches a float-to-integer cast.
+    for (const char *text : {
+             "ev=1:spawn:mcf:fp=nan\n",
+             "ev=1:spawn:mcf:fp=inf\n",
+             "ev=1:spawn:mcf:fp=1.5junk\n",
+             "ev=1:spawn:mcf:fp=\n",
+             "ev=1:spawn:mcf:fp= 1\n",
+             "ev=1:spawn:mcf:phases=mcf@1000@nan\n",
+             "ev=1:spawn:mcf:phases=mcf@-5@1\n",
+             "ev=1:spawn:mcf:phases=mcf@+5@1\n",
+             "ev=1:spawn:mcf:phases=mcf@5x@1\n",
+             "ev=1:spawn:mcf:phases=mcf@99999999999999999999@1\n",
+             "ev=1x:kill:1\n",
+             "ev=-1:kill:1\n",
+             "ev=:kill:1\n",
+             "ev=1:kill:1x\n",
+             "ev=1:kill:4294967297\n",
+             "ev=1:spawn:mcf:cpu=1x\n",
+             "ev=1:spawn:mcf:cpu=-2\n",
+             "ev=1:spawn:mcf:cpu=4294967296\n",
+             "phase=0x:mcf@1000@1\n",
+             "phase=4294967296:mcf@1000@1\n",
+         }) {
+        EXPECT_THROW(ScenarioScript::parse(text), FatalError) << text;
+    }
+    const auto ok = ScenarioScript::parse(
+        "phase=1:mcf@1000@0.5\n"
+        "ev=3:spawn:mcf:fp=1.5:cpu=-1:phases=mcf@1000@2\n"
+        "ev=4:kill:7\n");
+    ASSERT_EQ(ok.events.size(), 2u);
+    EXPECT_EQ(ok.events[0].footprintScale, 1.5);
+    EXPECT_EQ(ok.events[0].cpu, -1);
+    EXPECT_EQ(ok.events[1].pid, 7);
+}
+
+TEST(PhaseScheduleTest, RejectsMalformedNumbers)
+{
+    EXPECT_THROW(PhaseSchedule::parse("mcf@1000@nan"), FatalError);
+    EXPECT_THROW(PhaseSchedule::parse("mcf@-5@1"), FatalError);
+    EXPECT_THROW(PhaseSchedule::parse("mcf@1000@1.5junk"), FatalError);
+    EXPECT_THROW(PhaseSchedule::parse("mcf@1000junk@1"), FatalError);
+    PhaseSchedule direct;
+    direct.phases.push_back({"mcf", 1000, std::nan("")});
+    EXPECT_THROW(direct.check(), FatalError);
 }
 
 TEST(ScenarioScriptTest, EmptyScriptIsEmpty)
