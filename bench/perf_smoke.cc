@@ -31,22 +31,13 @@
  * regress by at most PCT percent and Mticks/s may drop by the same
  * factor (default 20; faster is never a failure; --events-only
  * skips both host-speed checks for heterogeneous machines).  Exits
- * non-zero on any regression.
- *
- * The header line and each row report the host core count and the
- * threads a config needs (kernel workers, the main thread being
- * worker 0).  Host-speed
- * checks of a threaded row are SKIPPED (visibly) when hostCores <
- * threads needed: timing an oversubscribed run measures the host,
- * not the simulator.  Event checks always run.
+ * non-zero on any regression.  Every row runs on one thread.
  */
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
-#include <thread>
 
 #include "bench_util.hh"
 
@@ -68,24 +59,14 @@ struct SmokeConfig
     const char *serving = nullptr;
     /** Run with epoch-sampled telemetry enabled. */
     bool telemetry = false;
-
-    /** Threads the run uses: the kernel's worker count, which
-     *  includes the main thread as worker 0 and is clamped to the
-     *  channel-lane count.  1 for the legacy rows. */
-    int
-    threadsNeeded() const
-    {
-        return shards > 0 ? std::min(shards, channels) : 1;
-    }
 };
 
 /** The fixed config set; order is part of the archive format.  The
  *  2-channel co-design cell exercises the multi-controller scan
- *  paths; the -sh2 cell runs the same machine on the sharded kernel
- *  with one worker per channel; the -8c-4ch-sh4 row is the 8-core
- *  4-channel co-design machine on four channel-lane workers.
- *  Host-speed checks for threaded rows are skipped on hosts with
- *  fewer cores than the row needs. */
+ *  paths; the -sh2 cell runs the same machine on the sharded kernel;
+ *  the -8c-4ch-sh4 row is the 8-core 4-channel co-design machine on
+ *  the sharded kernel.  Any shards >= 1 selects the same kernel; the
+ *  row names keep their archived spelling. */
 constexpr SmokeConfig kConfigs[] = {
     {"allbank-32gb", Policy::AllBank, 1},
     {"perbank-32gb", Policy::PerBank, 1},
@@ -94,8 +75,7 @@ constexpr SmokeConfig kConfigs[] = {
     {"codesign-32gb-2ch-sh2", Policy::CoDesign, 2, 2},
     {"codesign-32gb-8c-4ch-sh4", Policy::CoDesign, 4, 4, 8},
     // Serving rows ride at the END so the legacy baseline prefix
-    // stays byte-identical; the injector runs on the main lane and
-    // adds no worker thread (threadsNeeded is unchanged).
+    // stays byte-identical; the injector runs on the main lane.
     {"codesign-32gb-2ch-serving", Policy::CoDesign, 2, 0, 2,
      "arrival=mmpp,load=0.4,pool=8,queue=32,lines=4"},
     {"codesign-32gb-2ch-sh2-serving", Policy::CoDesign, 2, 2, 2,
@@ -138,15 +118,7 @@ struct SmokeResult
     std::uint64_t events = 0;
     double eventsPerQuantum = 0.0;
     double mticksPerSec = 0.0;
-    int threadsNeeded = 1;
 };
-
-int
-hostCores()
-{
-    const unsigned n = std::thread::hardware_concurrency();
-    return n > 0 ? static_cast<int>(n) : 1;
-}
 
 SmokeResult
 runConfig(const SmokeConfig &sc, const BenchOptions &opts)
@@ -180,7 +152,6 @@ runConfig(const SmokeConfig &sc, const BenchOptions &opts)
         ? static_cast<double>(sys.eventQueue().now())
             / (r.wallMs * 1e3)  // ticks/ms -> Mticks/s
         : 0.0;
-    r.threadsNeeded = sc.threadsNeeded();
     return r;
 }
 
@@ -293,17 +264,6 @@ checkAgainstBaseline(const std::vector<SmokeResult> &now,
 
         if (eventsOnly)
             continue;
-        // A threaded row timed on a host with fewer cores than the
-        // kernel's worker count measures oversubscription, not the
-        // simulator -- skip the host-speed checks VISIBLY rather
-        // than recording a bogus regression.
-        if (hostCores() < r.threadsNeeded) {
-            std::cout << r.name
-                      << ": wall-clock/Mticks SKIPPED (hostCores="
-                      << hostCores() << " < " << r.threadsNeeded
-                      << " threads needed)\n";
-            continue;
-        }
         const double limit = baseWall * (1.0 + wallTolPct / 100.0);
         if (r.wallMs > limit) {
             std::cerr << r.name << ": wall-clock REGRESSED: "
@@ -365,19 +325,16 @@ main(int argc, char **argv)
         results.push_back(runConfig(sc, opts));
 
     core::Table table({"config", "policy", "simMs", "wallMs",
-                       "events", "events/quantum", "Mticks/s",
-                       "threads"});
+                       "events", "events/quantum", "Mticks/s"});
     for (const auto &r : results) {
         table.addRow({r.name, r.policy, core::fmt(r.simMs, 2),
                       core::fmt(r.wallMs, 2),
                       std::to_string(r.events),
                       core::fmt(r.eventsPerQuantum, 1),
-                      core::fmt(r.mticksPerSec, 2),
-                      std::to_string(r.threadsNeeded)});
+                      core::fmt(r.mticksPerSec, 2)});
     }
     std::cout << "Simulation performance smoke (WL-1, 32 Gb, scale "
-              << opts.timeScale << ", hostCores " << hostCores()
-              << ")\n\n";
+              << opts.timeScale << ")\n\n";
     emit(opts, table, "perf_smoke");
     std::cout << "\n";
 

@@ -21,6 +21,14 @@ namespace
 
 using ProfileClock = std::chrono::steady_clock;
 
+/**
+ * Window length E of the sharded kernel.  Read completions cross
+ * back exactly when E <= tCL + tBURST; 15 ns sits under that bound
+ * for DDR3-1600 (~18.75 ns).  Each request to a channel waits for
+ * the next boundary, about E/2 on average.
+ */
+constexpr Tick kShardEpoch = 15000;
+
 double
 msSince(ProfileClock::time_point start)
 {
@@ -63,11 +71,10 @@ System::System(const SystemConfig &cfg)
 
     // Sharded kernel: one controller lane per channel plus the
     // cross-shard router; cores then talk to the router, not the
-    // controller.  The worker count is fixed at run() time (probes
-    // force sequential lanes).
+    // controller.
     if (cfg_.shards > 0) {
         shardKernel_ = std::make_unique<ShardKernel>(
-            eq_, cfg_.channels, cfg_.shardEpoch);
+            eq_, cfg_.channels, kShardEpoch);
         shardRouter_ = std::make_unique<memctrl::ShardRouter>(
             *shardKernel_, *mc_);
     }
@@ -211,10 +218,8 @@ System::System(const SystemConfig &cfg)
     // component so that in sharded mode its boundary hook is the
     // LAST phase-C hook -- the router has drained its mailboxes and
     // the window is sealed when the samplers read the component
-    // counters.  Telemetry never routes through the probe hub, so
-    // enabling it keeps the kernel's worker threads (probes force
-    // sequential lanes; telemetry must not).  The kernel
-    // self-profiler rides along: it is opt-in for the same runs.
+    // counters.  The kernel self-profiler rides along: it is opt-in
+    // for the same runs.
     if (cfg_.telemetry.enabled) {
         telemetry_ =
             std::make_unique<obs::TelemetryRecorder>(cfg_.telemetry);
@@ -599,14 +604,6 @@ System::run(int warmupQuanta, int measureQuanta)
         director_->start(initial);
     }
 
-    // Worker threads only pay off without instrumentation: probes
-    // fan into one shared hub, so any attached probe (or checker
-    // set) forces sequential lane execution.  Results are identical
-    // either way -- the sharded kernel's phase order is fixed.
-    if (shardKernel_) {
-        shardKernel_->setWorkers(
-            probeHub_ ? 1 : cfg_.shards);
-    }
     const auto runKernel = [this](Tick limit) {
         return shardKernel_ ? shardKernel_->runUntil(limit)
                             : eq_.runUntil(limit);

@@ -98,8 +98,8 @@ class System
      *  disabled.  Sampling never perturbs simulated behaviour: in
      *  sharded mode it reads sealed window state from a boundary
      *  hook; in legacy mode it is a StatDump-priority event.
-     *  Series values are byte-identical across {jobs} x {shards} x
-     *  {workers} within a timing mode (legacy, or sharded with any
+     *  Series values are byte-identical across {jobs} x {shards}
+     *  within a timing mode (legacy, or sharded with any
      *  shards >= 1). */
     obs::TelemetryRecorder *telemetry() { return telemetry_.get(); }
 

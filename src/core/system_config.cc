@@ -139,8 +139,6 @@ SystemConfig::check() const
         fatal("etaThresh must be >= 1");
     if (shards < 0)
         fatal("shards must be >= 0 (0 = legacy kernel)");
-    if (shards > 0 && shardEpoch <= 0)
-        fatal("sharded kernel needs a positive epoch");
     serving.check();
     telemetry.check();
 }

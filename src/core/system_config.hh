@@ -119,26 +119,15 @@ struct SystemConfig
      * The timing mode; there are exactly two, keyed by this field
      * alone.  0 (default): the legacy exact kernel -- every
      * component on one event queue, results bit-identical to prior
-     * releases.  >= 1: the sharded kernel -- each channel's controller runs on
-     * its own event-queue lane, synchronized with the cores at
-     * shardEpoch boundaries; `shards` is the phase-B worker count,
-     * the calling thread included (clamped to the lane count; 1 =
-     * sequential lanes on the caller, n starts n - 1 threads).
-     * Results are identical for every shards >= 1 value and differ
-     * slightly from the legacy kernel (requests cross into their
-     * channel at the next epoch boundary instead of immediately;
-     * see simcore/shard_kernel.hh).
+     * releases.  >= 1: the sharded kernel -- each channel's
+     * controller runs on its own event-queue lane, synchronized
+     * with the cores at 15 ns epoch boundaries, all on the calling
+     * thread.  Every value >= 1 selects the same kernel and gives
+     * identical results, which differ slightly from the legacy
+     * kernel (requests cross into their channel at the next epoch
+     * boundary instead of immediately; see simcore/shard_kernel.hh).
      */
     int shards = 0;
-
-    /**
-     * Epoch window length E of the sharded kernel, in ticks.  Read
-     * completions cross back exactly when E <= tCL + tBURST; the
-     * default 15 ns sits under that bound for DDR3-1600 (~18.75 ns)
-     * while keeping the barrier overhead amortized over ~12 memory
-     * clocks per window.
-     */
-    Tick shardEpoch = 15000;
 
     // --- Components ---
     cpu::CoreParams coreParams;

@@ -336,8 +336,8 @@ class MemoryController : public MemoryPort,
         /**
          * The event queue this channel's controller clock lives on.
          * The legacy kernel points every channel at the system
-         * queue; the sharded kernel gives each channel its own lane
-         * so channels tick concurrently between epoch barriers.
+         * queue; the sharded kernel gives each channel its own lane,
+         * run once per epoch window.
          * All channel-scoped code derives now() from here.
          */
         EventQueue *eq = nullptr;

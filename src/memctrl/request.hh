@@ -62,10 +62,10 @@ struct Request
      * serving injector packs slot/line indices).  When non-null the
      * controller stores the final blocked state here at read
      * completion; the storage must stay valid until then, and each
-     * in-flight request needs its own element -- under the sharded
-     * kernel the owning channel lane writes it, so sharing one flag
-     * across channels would race.  Forwarded reads (served from a
-     * queued write) bypass the DRAM banks entirely and store 0.
+     * in-flight request needs its own element, since each channel
+     * writes its requests' flags at their own completion ticks.
+     * Forwarded reads (served from a queued write) bypass the DRAM
+     * banks entirely and store 0.
      */
     std::uint8_t *blockedOut = nullptr;
 

@@ -26,8 +26,7 @@
  *     completion (see shard_kernel.hh).
  *
  * Each mailbox has exactly one writer phase and one reader phase,
- * separated by the kernel's barrier, so no locks are needed even
- * when the parallel phase runs on worker threads.
+ * so a lane never sees another lane's traffic mid-window.
  */
 
 #ifndef REFSCHED_MEMCTRL_SHARD_ROUTER_HH
@@ -67,7 +66,7 @@ class ShardRouter final : public MemoryPort,
     // --- Callee: per-channel delivery event (controller's lane) ---
     void fire(Tick now, std::uint64_t channel, std::uint64_t) override;
 
-    /** Window boundary (phase C, single-threaded). */
+    /** Window boundary (phase C). */
     void onBoundary(Tick boundary);
 
     /** Requests staged or bounced, not yet in a controller queue. */

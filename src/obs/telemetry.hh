@@ -13,10 +13,8 @@
  *                   all mailboxes have been drained, so direct reads
  *                   of component counters observe the sealed window
  *                   state -- which is a pure function of simulated
- *                   time, independent of the lane partition and
- *                   worker count.  Samples therefore never route
- *                   through the probe hub (a probe forces sequential
- *                   lanes; telemetry must not).
+ *                   time.  Samples therefore never route through
+ *                   the probe hub.
  *   legacy kernel   armPeriodic() schedules an intrusive event at
  *                   each period multiple at EventPriority::StatDump,
  *                   i.e. after all same-tick simulation work.
@@ -25,7 +23,7 @@
  * sharded mode the values reflect the first window boundary at or
  * after the stamp (the boundary grid is a fixed function of the
  * kernel mode, so output stays byte-identical across every
- * {jobs} x {shards >= 1} x {workers} combination within one timing
+ * {jobs} x {shards >= 1} combination within one timing
  * mode -- the same identity groups the stats JSON already obeys; see
  * DESIGN.md section 14).
  *

@@ -1,10 +1,7 @@
 #include "simcore/shard_kernel.hh"
 
 #include <algorithm>
-
-#if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
-#endif
+#include <chrono>
 
 #include "simcore/logging.hh"
 
@@ -23,48 +20,6 @@ profMs(ProfClock::time_point from, ProfClock::time_point to)
         .count();
 }
 
-/** Busy-wait hint: lets the sibling hyperthread run and avoids the
- *  memory-order pipeline flush when the spun-on line changes. */
-inline void
-cpuRelax()
-{
-#if defined(__x86_64__) || defined(__i386__)
-    _mm_pause();
-#elif defined(__aarch64__)
-    asm volatile("yield");
-#endif
-}
-
-/** Polls before a barrier side parks: about 100 us at ~25 ns per
- *  poll.  A worker waits out phase A+C (typically 10-15 us) and the
- *  caller waits out the slowest worker's range, so the spin almost
- *  always ends without a futex round trip, while a stalled peer
- *  (long phase, busy host) still gets its CPU back. */
-constexpr int kSpinIters = 1 << 12;
-
-/**
- * Wait until @p ready holds for the value of @p a: spin up to
- * @p spins polls, then park in atomic::wait.  Every load acquires,
- * so the caller happens-after the release that published the value.
- */
-template <typename T, typename Ready>
-T
-awaitValue(const std::atomic<T> &a, int spins, Ready ready)
-{
-    for (int i = 0; i < spins; ++i) {
-        const T v = a.load(std::memory_order_acquire);
-        if (ready(v))
-            return v;
-        cpuRelax();
-    }
-    while (true) {
-        const T v = a.load(std::memory_order_acquire);
-        if (ready(v))
-            return v;
-        a.wait(v, std::memory_order_acquire);
-    }
-}
-
 } // namespace
 
 ShardKernel::ShardKernel(EventQueue &main, int lanes, Tick epoch)
@@ -76,112 +31,19 @@ ShardKernel::ShardKernel(EventQueue &main, int lanes, Tick epoch)
         lanes_.push_back(std::make_unique<EventQueue>());
 }
 
-ShardKernel::~ShardKernel()
-{
-    stopWorkers();
-}
-
-void
-ShardKernel::setWorkers(int n)
-{
-    REFSCHED_ASSERT(threads_.empty(),
-                    "setWorkers must precede the first runUntil");
-    workers_ = std::clamp(n, 1, laneCount());
-}
-
 void
 ShardKernel::enableProfile()
 {
-    REFSCHED_ASSERT(threads_.empty(),
-                    "enableProfile must precede the first runUntil");
     profile_ = true;
     prof_.laneBusyMs.assign(
         static_cast<std::size_t>(laneCount()), 0.0);
-}
-
-void
-ShardKernel::startWorkers()
-{
-    if (workers_ <= 1 || !threads_.empty())
-        return;
-    if (profile_) {
-        prof_.workerBusyMs.assign(
-            static_cast<std::size_t>(workers_), 0.0);
-        prof_.workerWaitMs.assign(
-            static_cast<std::size_t>(workers_), 0.0);
-        workerStamps_.resize(static_cast<std::size_t>(workers_));
-    }
-    // Spinning pays only while every worker has a CPU of its own.
-    // With more workers than CPUs a spinning thread holds the CPU
-    // that the thread it waits for needs, so both sides park at once.
-    const unsigned cpus = std::thread::hardware_concurrency();
-    spinIters_ =
-        static_cast<unsigned>(workers_) <= cpus ? kSpinIters : 0;
-    // Worker 0 is the caller itself.
-    threads_.reserve(static_cast<std::size_t>(workers_ - 1));
-    for (int w = 1; w < workers_; ++w)
-        threads_.emplace_back([this, w] { workerLoop(w); });
-}
-
-void
-ShardKernel::stopWorkers()
-{
-    if (threads_.empty())
-        return;
-    quit_.store(true, std::memory_order_relaxed);
-    gen_.fetch_add(1, std::memory_order_release);
-    gen_.notify_all();
-    for (auto &t : threads_)
-        t.join();
-    threads_.clear();
-}
-
-void
-ShardKernel::runLaneRange(int first, int last)
-{
-    for (int i = first; i < last; ++i)
-        lanes_[static_cast<std::size_t>(i)]->runUntil(target_);
-}
-
-void
-ShardKernel::runWorker(int workerId)
-{
-    // Static partition: lane ownership never changes, so a lane's
-    // events always run on the same thread and successive windows
-    // of one lane are ordered by the barrier alone.
-    const LaneRange r =
-        workerLanes(workerId, workers_, laneCount());
-    if (!profile_) {
-        runLaneRange(r.first, r.last);
-        return;
-    }
-    auto &s = workerStamps_[static_cast<std::size_t>(workerId)];
-    s.start = ProfClock::now();
-    runLaneRange(r.first, r.last);
-    s.finish = ProfClock::now();
-}
-
-void
-ShardKernel::workerLoop(int workerId)
-{
-    std::uint64_t seen = 0;
-    while (true) {
-        seen = awaitValue(gen_, spinIters_, [seen](std::uint64_t g) {
-            return g != seen;
-        });
-        if (quit_.load(std::memory_order_acquire))
-            return;
-        runWorker(workerId);
-        if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1)
-            pending_.notify_one();
-    }
+    prof_.workerBusyMs.assign(1, 0.0);
+    prof_.workerWaitMs.assign(1, 0.0);
 }
 
 std::uint64_t
 ShardKernel::runUntil(Tick limit)
 {
-    startWorkers();
-
     const std::uint64_t before = executedTotal();
     do {
         // Window [t, end); `end - 1` is inclusive for runUntil.  The
@@ -190,70 +52,43 @@ ShardKernel::runUntil(Tick limit)
         // matching EventQueue::runUntil's contract).
         const Tick t = main_.now();
         const Tick end = std::min(t + epoch_, limit + 1);
-        target_ = end - 1;
+        const Tick target = end - 1;
 
-        ProfClock::time_point t0;
-        if (profile_)
-            t0 = ProfClock::now();
-
-        // Phase A: the main lane, alone.
-        main_.runUntil(target_);
-
-        ProfClock::time_point t1;
-        if (profile_)
-            t1 = ProfClock::now();
-
-        // Phase B: the channel lanes, mutually independent.
-        if (threads_.empty()) {
-            if (profile_) {
-                for (int i = 0; i < laneCount(); ++i) {
-                    const auto l0 = ProfClock::now();
-                    lanes_[static_cast<std::size_t>(i)]->runUntil(
-                        target_);
-                    prof_.laneBusyMs[static_cast<std::size_t>(i)] +=
-                        profMs(l0, ProfClock::now());
-                }
-            } else {
-                runLaneRange(0, laneCount());
-            }
-        } else {
-            pending_.store(workers_ - 1, std::memory_order_relaxed);
-            gen_.fetch_add(1, std::memory_order_release);
-            gen_.notify_all();
-            runWorker(0);
-            awaitValue(pending_, spinIters_,
-                       [](int p) { return p == 0; });
-            if (profile_) {
-                // Acquiring pending_ == 0 happens-after every
-                // worker's stamp writes; the gap from a worker's
-                // finish to now is its barrier wait.
-                const auto tb = ProfClock::now();
-                for (std::size_t w = 0; w < workerStamps_.size(); ++w) {
-                    const auto &s = workerStamps_[w];
-                    prof_.workerBusyMs[w] += profMs(s.start, s.finish);
-                    prof_.workerWaitMs[w] +=
-                        std::max(profMs(s.finish, tb), 0.0);
-                }
-                ++prof_.barriers;
-            }
+        if (!profile_) {
+            main_.runUntil(target);
+            for (const auto &l : lanes_)
+                l->runUntil(target);
+            for (const auto &hook : boundaryHooks_)
+                hook(end);
+            continue;
         }
 
-        ProfClock::time_point t2;
-        if (profile_)
-            t2 = ProfClock::now();
+        // Phase A: the main lane, alone.
+        const auto t0 = ProfClock::now();
+        main_.runUntil(target);
+
+        // Phase B: the channel lanes, mutually independent.
+        const auto t1 = ProfClock::now();
+        auto laneStart = t1;
+        for (std::size_t i = 0; i < lanes_.size(); ++i) {
+            lanes_[i]->runUntil(target);
+            const auto laneEnd = ProfClock::now();
+            prof_.laneBusyMs[i] += profMs(laneStart, laneEnd);
+            laneStart = laneEnd;
+        }
+        const auto t2 = laneStart;
 
         // Phase C: seal the window; cross-lane deliveries land at
         // >= end, i.e. inside the next window.
         for (const auto &hook : boundaryHooks_)
             hook(end);
 
-        if (profile_) {
-            const auto t3 = ProfClock::now();
-            prof_.mainMs += profMs(t0, t1);
-            prof_.parallelMs += profMs(t1, t2);
-            prof_.boundaryMs += profMs(t2, t3);
-            ++prof_.windows;
-        }
+        const auto t3 = ProfClock::now();
+        prof_.mainMs += profMs(t0, t1);
+        prof_.parallelMs += profMs(t1, t2);
+        prof_.workerBusyMs[0] += profMs(t1, t2);
+        prof_.boundaryMs += profMs(t2, t3);
+        ++prof_.windows;
     } while (main_.now() < limit);
     return executedTotal() - before;
 }
@@ -279,7 +114,7 @@ jsonDoubleArray(std::ostream &os, const std::vector<double> &xs)
     os << ']';
 }
 
-/** max/mean over @p xs; 1 for empty or all-zero partitions. */
+/** max/mean over @p xs; 1 when empty or all zero. */
 double
 imbalanceRatio(const std::vector<double> &xs)
 {
@@ -301,12 +136,7 @@ imbalanceRatio(const std::vector<double> &xs)
 void
 ShardKernel::renderProfileJson(std::ostream &os) const
 {
-    // Threaded mode times worker ranges, sequential mode times
-    // individual lanes; the imbalance ratio is over whichever
-    // partition actually ran the lanes.
-    const bool threaded = !prof_.workerBusyMs.empty();
     os << "{\"windows\": " << prof_.windows
-       << ", \"barriers\": " << prof_.barriers
        << ", \"mainMs\": " << prof_.mainMs
        << ", \"parallelMs\": " << prof_.parallelMs
        << ", \"boundaryMs\": " << prof_.boundaryMs;
@@ -320,9 +150,7 @@ ShardKernel::renderProfileJson(std::ostream &os) const
     jsonDoubleArray(os, prof_.workerBusyMs);
     os << ", \"workerWaitMs\": ";
     jsonDoubleArray(os, prof_.workerWaitMs);
-    os << ", \"imbalance\": "
-       << imbalanceRatio(threaded ? prof_.workerBusyMs
-                                  : prof_.laneBusyMs)
+    os << ", \"imbalance\": " << imbalanceRatio(prof_.laneBusyMs)
        << '}';
 }
 

@@ -399,33 +399,6 @@ checkSystem(const FuzzSample &s, int jobs)
                  + ": jobs=N vs jobs=1 trace divergence: "
                  + d.describe());
     }
-
-    // Oracle: the shard (worker) count is a bit-identity knob within
-    // the sharded mode (shards >= 1).  The re-run flips it to a
-    // different nonzero value -- crossing into 0 would change timing
-    // mode (legacy), which is a contract boundary, not an identity.
-    if (s.shards >= 1) {
-        FuzzSample alt = s;
-        alt.shards = s.shards == 1 ? s.channels + 1 : 1;
-        const std::string what = "shards=" + std::to_string(s.shards)
-            + " vs shards=" + std::to_string(alt.shards);
-        std::vector<TraceRecorder> again;
-        try {
-            runPolicyGrid(alt, jobs, again);
-        } catch (const FatalError &e) {
-            fail(out, "shards", what + " re-run rejected: " + e.what());
-            return out;
-        }
-        for (std::size_t i = 0; i < par.size(); ++i) {
-            if (par[i].data() == again[i].data())
-                continue;
-            const auto d = diffTraces(decodeTrace(par[i].data()),
-                                      decodeTrace(again[i].data()));
-            fail(out, "shards",
-                 core::toString(kSystemPolicies[i]) + ": " + what
-                     + " trace divergence: " + d.describe());
-        }
-    }
     return out;
 }
 

@@ -23,10 +23,6 @@
  *    scheduler never issues a fallback or best-effort pick.
  *  - jobs: the whole policy sweep, re-run with a single worker,
  *    produces byte-identical golden traces per cell.
- *  - shards: for samples running the sharded kernel, the sweep
- *    re-run at a different nonzero shard (worker) count produces
- *    byte-identical traces per cell -- the shard count is an
- *    identity knob within the sharded timing mode.
  */
 
 #ifndef REFSCHED_VALIDATE_FUZZ_FUZZ_ORACLES_HH

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "simcore/logging.hh"
+#include "workload/profile.hh"
 #include "workload/workloads.hh"
 
 namespace refsched::validate::fuzz
@@ -186,6 +187,13 @@ FuzzSample::parse(const std::string &text)
             fatal("malformed fuzz sample line: ", line);
         const std::string key = line.substr(0, eq);
         const std::string val = line.substr(eq + 1);
+        // Numeric values are whole, in-range tokens (FatalError
+        // otherwise): a sample file is untrusted input.
+        const std::string what = "fuzz sample " + key;
+        const auto intVal = [&](int lo, int hi) {
+            return static_cast<int>(
+                workload::parseSignedToken(val, what.c_str(), lo, hi));
+        };
         if (key.rfind("scenario_", 0) == 0) {
             scenarioText += key.substr(9) + "=" + val + "\n";
         } else if (key == "kind") {
@@ -197,39 +205,41 @@ FuzzSample::parse(const std::string &text)
                 fatal("unknown sample kind: ", val);
             sawKind = true;
         } else if (key == "seed") {
-            s.seed = std::stoull(val);
+            s.seed = workload::parseUnsignedToken(val, what.c_str());
         } else if (key == "channels") {
-            s.channels = std::stoi(val);
+            s.channels = intVal(1, 64);
         } else if (key == "ranks") {
-            s.ranksPerChannel = std::stoi(val);
+            s.ranksPerChannel = intVal(1, 64);
         } else if (key == "banks_per_rank") {
-            s.banksPerRank = std::stoi(val);
+            s.banksPerRank = intVal(1, 64);
         } else if (key == "density_gb") {
-            s.densityGb = std::stoi(val);
+            s.densityGb = intVal(8, 32);
         } else if (key == "trefw_ms") {
-            s.tREFWms = std::stod(val);
+            s.tREFWms = workload::parseFiniteToken(val, what.c_str());
+            if (s.tREFWms < 1.0 || s.tREFWms > 1024.0)
+                fatal(what, ": ", val, " out of [1, 1024] ms");
         } else if (key == "time_scale") {
-            s.timeScale = static_cast<unsigned>(std::stoul(val));
+            s.timeScale = static_cast<unsigned>(intVal(1, 1 << 16));
         } else if (key == "xor_bank_hash") {
-            s.xorBankHash = std::stoi(val) != 0;
+            s.xorBankHash = intVal(0, 1) != 0;
         } else if (key == "windows") {
-            s.windows = std::stoi(val);
+            s.windows = intVal(1, 1 << 10);
         } else if (key == "cores") {
-            s.cores = std::stoi(val);
+            s.cores = intVal(1, 256);
         } else if (key == "tasks_per_core") {
-            s.tasksPerCore = std::stoi(val);
+            s.tasksPerCore = intVal(1, 64);
         } else if (key == "eta_thresh") {
-            s.etaThresh = std::stoi(val);
+            s.etaThresh = intVal(1, 1 << 20);
         } else if (key == "best_effort") {
-            s.bestEffort = std::stoi(val) != 0;
+            s.bestEffort = intVal(0, 1) != 0;
         } else if (key == "banks_per_task") {
-            s.banksPerTaskPerRank = std::stoi(val);
+            s.banksPerTaskPerRank = intVal(-1, 64);
         } else if (key == "warmup_quanta") {
-            s.warmupQuanta = std::stoi(val);
+            s.warmupQuanta = intVal(0, 1 << 20);
         } else if (key == "measure_quanta") {
-            s.measureQuanta = std::stoi(val);
+            s.measureQuanta = intVal(1, 1 << 20);
         } else if (key == "shards") {
-            s.shards = std::stoi(val);
+            s.shards = intVal(0, 1 << 16);
         } else if (key == "benchmarks") {
             s.benchmarks = splitBenchmarks(val);
         } else if (key == "serving") {
@@ -324,10 +334,9 @@ sampleSystemOnce(Rng &rng)
         : static_cast<int>(rng.inRange(
               1, static_cast<std::uint64_t>(s.banksPerRank)));
     s.warmupQuanta = static_cast<int>(rng.inRange(0, 2));
-    // Half the samples run the sharded kernel, including
-    // oversubscribed shard counts (the kernel clamps).  The shards
-    // identity oracle then polices the partition invariant
-    // continuously.
+    // Half the samples run the sharded kernel.  Every shards >= 1
+    // selects the same kernel; the count is still drawn from three
+    // values so the sample stream stays what it always was.
     if (rng.bernoulli(0.5)) {
         static constexpr int kShards[] = {1, 2, 4};
         s.shards = pick(rng, kShards);

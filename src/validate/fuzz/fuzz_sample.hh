@@ -75,10 +75,9 @@ struct FuzzSample
 
     /**
      * Event-kernel timing mode (System kind).  shards > 0 runs the
-     * channel-sharded kernel; the shard count is a bit-identity knob
-     * within that mode, so the shards oracle re-runs the grid at a
-     * different count and demands byte-equal traces.  An absent key
-     * parses as 0 (legacy kernel), keeping old corpus entries valid.
+     * channel-sharded kernel; every such value selects the same
+     * kernel.  An absent key parses as 0 (legacy kernel), keeping
+     * old corpus entries valid.
      */
     int shards = 0;
     /** One benchmark name per task (cores * tasksPerCore). */

@@ -84,8 +84,7 @@ std::string describe(const TraceEvent &ev);
  * unchanged; the sharded kernel emits each epoch window's main-lane
  * events before the channel-lane events that precede them in
  * simulated time, and the sort restores the canonical global order
- * (within a tick, arrival order -- which is phase-deterministic and
- * therefore identical for every worker count).
+ * (within a tick, arrival order -- which is phase-deterministic).
  */
 class TraceRecorder final : public Probe
 {

@@ -184,9 +184,7 @@ class ServingInjector final : public Callee
 
     std::vector<Slot> slots_;
     /** Per (slot, line) refresh-blocked flags written by the
-     *  controller through Request::blockedOut.  Flat bytes: a line
-     *  is owned by exactly one channel, so concurrent channel lanes
-     *  never touch the same element. */
+     *  controller through Request::blockedOut, one byte each. */
     std::vector<std::uint8_t> lineBlocked_;
     std::deque<Tick> backlog_;
     bool retryArmed_ = false;

@@ -9,10 +9,10 @@
  *
  * Prints the headline metrics, a per-task table, and (optionally)
  * every registered statistic.  Exit code 0 on success, 2 on usage
- * errors.
+ * errors (including a malformed or out-of-range numeric flag).
  */
 
-#include <cstring>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -23,6 +23,7 @@
 #include "core/report.hh"
 #include "core/system.hh"
 #include "obs/timeline.hh"
+#include "workload/profile.hh"
 #include "workload/workloads.hh"
 
 using namespace refsched;
@@ -43,7 +44,6 @@ struct CliOptions
     int tasksPerCore = 4;
     int channels = 1;
     int shards = 0;
-    Tick shardEpoch = 0;  // 0 keeps the config default
     unsigned timeScale = 128;
     int warmupQuanta = 8;
     int measureQuanta = 16;
@@ -124,12 +124,10 @@ usage(const char *argv0, const std::string &error = "")
         << "  --seed S               trace RNG seed\n"
         << "  --validate             run the invariant checkers; "
            "exit 1 on any violation\n"
-        << "  --shards N             sharded event kernel: one lane "
-           "per channel,\n"
-        << "                         N phase-B workers (0 = legacy "
-           "kernel, default)\n"
-        << "  --shard-epoch PS       sharded-kernel window length "
-           "(default 15000)\n\n"
+        << "  --shards N             0 = legacy event kernel "
+           "(default); >= 1 = sharded\n"
+        << "                         kernel, one event lane per "
+           "channel\n\n"
         << "output:\n"
         << "  --dump-stats           print every registered stat\n"
         << "  --csv                  per-task table as CSV\n"
@@ -196,6 +194,26 @@ parse(int argc, char **argv)
             usage(argv[0], std::string(argv[i]) + " needs a value");
         return argv[++i];
     };
+    // Numeric flags take one whole, in-range number; anything else
+    // is a usage error.
+    const auto unsignedToken = [&](const std::string &v,
+                                   const char *what) -> std::uint64_t {
+        try {
+            return workload::parseUnsignedToken(v, what);
+        } catch (const FatalError &e) {
+            usage(argv[0], e.what());
+        }
+    };
+    const auto intFlag = [&](int &i, int lo, int hi) -> int {
+        const char *flag = argv[i];
+        const std::string v = need(i);
+        try {
+            return static_cast<int>(
+                workload::parseSignedToken(v, flag, lo, hi));
+        } catch (const FatalError &e) {
+            usage(argv[0], e.what());
+        }
+    };
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
         if (a == "--workload") {
@@ -209,35 +227,42 @@ parse(int argc, char **argv)
         } else if (a == "--policy") {
             o.policy = parsePolicy(need(i), argv[0]);
         } else if (a == "--density") {
-            o.densityGb = std::atoi(need(i));
+            o.densityGb = intFlag(i, 8, 32);
+            if (o.densityGb % 8 != 0)
+                usage(argv[0], "--density must be 8, 16, 24 or 32");
         } else if (a == "--retention") {
-            o.retentionMs = std::atof(need(i));
+            const std::string v = need(i);
+            try {
+                o.retentionMs =
+                    workload::parseFiniteToken(v, "--retention");
+            } catch (const FatalError &e) {
+                usage(argv[0], e.what());
+            }
+            if (o.retentionMs < 1.0 || o.retentionMs > 1024.0)
+                usage(argv[0], "--retention must be in [1, 1024] ms");
         } else if (a == "--cores") {
-            o.cores = std::atoi(need(i));
+            o.cores = intFlag(i, 1, 256);
         } else if (a == "--channels") {
-            o.channels = std::atoi(need(i));
+            o.channels = intFlag(i, 1, 64);
         } else if (a == "--shards") {
-            o.shards = std::atoi(need(i));
-        } else if (a == "--shard-epoch") {
-            o.shardEpoch = static_cast<Tick>(
-                std::strtoull(need(i), nullptr, 10));
+            o.shards = intFlag(i, 0, 1 << 16);
         } else if (a == "--tasks-per-core") {
-            o.tasksPerCore = std::atoi(need(i));
+            o.tasksPerCore = intFlag(i, 1, 64);
         } else if (a == "--banks-per-task") {
-            o.banksPerTask = std::atoi(need(i));
+            o.banksPerTask = intFlag(i, -1, 64);
         } else if (a == "--partition") {
             o.partition = need(i);
         } else if (a == "--eta") {
-            o.etaThresh = std::atoi(need(i));
+            o.etaThresh = intFlag(i, 1, 1 << 20);
         } else if (a == "--scale") {
-            o.timeScale = static_cast<unsigned>(std::atoi(need(i)));
+            o.timeScale =
+                static_cast<unsigned>(intFlag(i, 1, 1 << 16));
         } else if (a == "--warmup") {
-            o.warmupQuanta = std::atoi(need(i));
+            o.warmupQuanta = intFlag(i, 0, 1 << 20);
         } else if (a == "--measure") {
-            o.measureQuanta = std::atoi(need(i));
+            o.measureQuanta = intFlag(i, 1, 1 << 20);
         } else if (a == "--seed") {
-            o.seed = static_cast<std::uint64_t>(
-                std::strtoull(need(i), nullptr, 10));
+            o.seed = unsignedToken(need(i), "--seed");
         } else if (a == "--validate") {
             o.validate = true;
         } else if (a == "--timeline") {
@@ -247,21 +272,21 @@ parse(int argc, char **argv)
         } else if (a == "--telemetry") {
             o.telemetryPath = need(i);
         } else if (a == "--telemetry-period") {
-            o.telemetryPeriod = static_cast<Tick>(
-                std::strtoull(need(i), nullptr, 10));
+            o.telemetryPeriod =
+                unsignedToken(need(i), "--telemetry-period");
+            if (o.telemetryPeriod == 0)
+                usage(argv[0], "--telemetry-period must be positive");
         } else if (a == "--trace-window") {
             const std::string w = need(i);
             const auto colon = w.find(':');
             if (colon == std::string::npos)
                 usage(argv[0], "--trace-window wants START:END");
-            o.window.windowStart = static_cast<Tick>(
-                std::strtoull(w.substr(0, colon).c_str(), nullptr,
-                              10));
+            o.window.windowStart =
+                unsignedToken(w.substr(0, colon), "--trace-window START");
             const std::string endStr = w.substr(colon + 1);
             o.window.windowEnd = endStr.empty()
                 ? kMaxTick
-                : static_cast<Tick>(
-                      std::strtoull(endStr.c_str(), nullptr, 10));
+                : unsignedToken(endStr, "--trace-window END");
             if (o.window.windowStart >= o.window.windowEnd)
                 usage(argv[0], "--trace-window is empty");
         } else if (a == "--dump-stats") {
@@ -299,8 +324,6 @@ buildConfig(const CliOptions &o, const char *argv0)
     cfg.validate = o.validate;
     cfg.channels = o.channels;
     cfg.shards = o.shards;
-    if (o.shardEpoch > 0)
-        cfg.shardEpoch = o.shardEpoch;
 
     if (!o.partition.empty()) {
         if (o.partition == "soft")

@@ -6,9 +6,9 @@
 #
 # The ASan pass catches memory errors and UB across the whole suite;
 # the TSan pass targets the multi-threaded subsystems first (the
-# parallel experiment runner and the sharded kernel's worker pool),
-# then runs the full suite anyway -- races can hide behind any entry
-# point that constructs a runner or a threaded kernel.
+# parallel experiment runner and the fuzzer's policy sweep), then
+# runs the full suite anyway -- races can hide behind any entry
+# point that constructs a runner.
 
 set -euo pipefail
 
@@ -58,17 +58,16 @@ scenario_smoke() {
         --stats-json "$out/scenario.stats.json" >/dev/null
 }
 
-# Telemetry samples counters from the phase-C boundary hook while
-# the run stays on real worker threads (unlike a probe, telemetry
-# does not force workers=1), then walks the string-heavy JSONL/CSV
-# exporters -- both sides are sanitizer targets.  The self-profiler
-# also arms here, timing the phase-B barrier it samples behind.
+# Telemetry samples counters from the sharded kernel's phase-C
+# boundary hook, then walks the string-heavy JSONL/CSV exporters --
+# both sides are sanitizer targets.  The kernel self-profiler also
+# arms here.
 telemetry_smoke() {
     local dir="$1" out="$1/telemetry-smoke"
     mkdir -p "$out"
-    echo "--- ${dir}: --telemetry sampled export (threaded kernel) ---"
+    echo "--- ${dir}: --telemetry sampled export (sharded kernel) ---"
     "./$dir/tools/refsched_cli" --policy co-design --workload WL-5 \
-        --scale 1024 --channels 2 --shards 2 \
+        --scale 1024 --channels 2 --shards 1 \
         --warmup 1 --measure 8 --seed 7 \
         --serving "arrival=mmpp,load=0.4,pool=4,queue=16,lines=4" \
         --telemetry "$out/telemetry.jsonl" \
@@ -79,10 +78,9 @@ telemetry_smoke() {
 }
 
 # The open-loop serving injector shares slot/backlog state between
-# the main-lane arrival path and per-line completions delivered from
-# channel lanes, and its per-line blocked flags are written by the
-# controller -- pointer-lifetime and (under the threaded kernel)
-# data-race territory the sanitizers own.  Overload parameters keep
+# the main-lane arrival path and per-line completions, and its
+# per-line blocked flags are written by the controller --
+# pointer-lifetime territory the sanitizers own.  Overload parameters keep
 # the drop and retry paths hot.
 serving_smoke() {
     local dir="$1" out="$1/serving-smoke"
@@ -114,50 +112,11 @@ echo "=== asan: differential fuzz (corpus replay + short random run) ==="
     --samples 25 --seed 7 --shrink-budget 0
 
 run_pass tsan thread
-echo "=== tsan: parallel-runner + sharded-kernel determinism suites ==="
-# ShardIdentityTest runs the channel lanes on real worker threads
-# (no probe attached) and asserts bit-identity with the sequential
-# run -- the primary TSan target for the sharded kernel.
-# ShardKernelTest drives the spin-then-park barrier directly: 10^5
-# one-tick windows whose boundary hook reads every lane's writes,
-# and worker shutdown from both the spinning and the parked state.
+echo "=== tsan: parallel-runner determinism suites ==="
+# Each runs cells on ParallelRunner worker threads and asserts
+# bit-identity with the inline run.
 ctest --test-dir build-tsan --output-on-failure \
-    -R 'ParallelRunner|GoldenTraceJobs|ShardIdentity|ShardKernel|ScenarioIntegration'
-echo "=== tsan: sharded CLI run (real worker threads) ==="
-# No --timeline here: attaching a probe forces workers=1, and the
-# point of this pass is the threaded phase-B path.
-mkdir -p build-tsan/shard-smoke
-./build-tsan/tools/refsched_cli --policy co-design --workload WL-5 \
-    --channels 2 --shards 2 --warmup 1 --measure 4 --seed 7 \
-    --stats-json build-tsan/shard-smoke/sh2.stats.json >/dev/null
-echo "=== tsan: sharded scenario run (migration on worker threads) ==="
-# Migration copy completions route through the sharded kernel's main
-# lane; churn while phase-B workers drain the channel lanes is the
-# adversarial interleaving for the director's bookkeeping.
-./build-tsan/tools/refsched_cli --policy co-design \
-    --benchmarks GemsFDTD,stream,GemsFDTD,npb_ua --cores 1 \
-    --density 32 --scale 1024 --channels 2 --shards 2 \
-    --warmup 0 --measure 24 --seed 1 \
-    --scenario tests/validate/data/adversarial_colocation.scenario \
-    --validate \
-    --stats-json build-tsan/shard-smoke/scenario.stats.json >/dev/null
-echo "=== tsan: serving on the sharded kernel (worker threads) ==="
-# Serving arrivals stage on the main lane while channel lanes
-# complete the per-line reads and write the per-line blocked flags
-# concurrently -- the exact cross-lane surface the flat byte array
-# exists for.  Stats-only (a probe would force workers=1).
-./build-tsan/tools/refsched_cli --policy co-design --workload WL-5 \
-    --scale 1024 --channels 2 --shards 2 \
-    --warmup 0 --measure 24 --seed 7 \
-    --serving "arrival=mmpp,load=1.6,pool=8,queue=64,lines=4" \
-    --stats-json build-tsan/shard-smoke/serving.stats.json >/dev/null
-echo "=== tsan: telemetry on the threaded kernel (boundary sampling) ==="
-# Telemetry is the one observability consumer that keeps phase-B
-# workers threaded: the boundary hook reads channel counters that
-# worker threads wrote moments earlier, and the self-profiler
-# reads worker finish stamps across the barrier -- both are ordering
-# claims TSan can falsify.
-telemetry_smoke build-tsan
+    -R 'ParallelRunner|GoldenTraceJobs|ScenarioIntegration'
 echo "=== tsan: scenario engine (churn + page migration) ==="
 scenario_smoke build-tsan
 echo "=== tsan: open-loop serving (drops + retry paths) ==="
