@@ -50,6 +50,88 @@ generatorOf(const os::Task &t)
         t.source);
 }
 
+/** A telemetry scope: the series-name head, the StatRegistry head
+ *  its delta rows read under, and whether both carry the channel or
+ *  core index ("ch0.reads" differences "mc.ch0.reads"). */
+struct SeriesScope
+{
+    const char *head;
+    const char *statHead;
+    bool indexed;
+};
+
+constexpr SeriesScope kSched{"sched", "sched", false};
+constexpr SeriesScope kServing{"serving", "serving", false};
+constexpr SeriesScope kChannel{"ch", "mc.ch", true};
+constexpr SeriesScope kCore{"core", "core", true};
+
+/** One telemetry series.  A delta row names the Scalar it
+ *  differences; a gauge row has no stat and reads instantaneous
+ *  state (c = channel or core index, 0 otherwise). */
+struct SeriesRow
+{
+    const SeriesScope *scope;
+    const char *name;
+    const char *stat;
+    std::int64_t (*read)(System &, int c);
+};
+
+template <typename T>
+constexpr std::int64_t
+i64(T v)
+{
+    return static_cast<std::int64_t>(v);
+}
+
+/**
+ * The series catalogue, in emission order within each scope: the one
+ * list of telemetry series names.  Every series is an integer (byte-
+ * stable formatting): the occupancy integrals are sums of depth x dt
+ * products, so llround is lossless, and IPC is left to the reader.
+ */
+constexpr SeriesRow kSeriesCatalogue[] = {
+    {&kSched, "quanta", "quantaScheduled", nullptr},
+    {&kSched, "cleanPicks", "cleanPicks", nullptr},
+    {&kServing, "backlog", nullptr,
+     [](System &s, int) { return i64(s.servingInjector()->backlogDepth()); }},
+    {&kServing, "arrivals", "arrivals", nullptr},
+    {&kServing, "drops", "drops", nullptr},
+    {&kServing, "completed", "completed", nullptr},
+    {&kChannel, "readQ", nullptr,
+     [](System &s, int c) { return i64(s.controller().readQueueSize(c)); }},
+    {&kChannel, "writeQ", nullptr,
+     [](System &s, int c) { return i64(s.controller().writeQueueSize(c)); }},
+    {&kChannel, "blockedReads", nullptr,
+     [](System &s, int c) { return i64(s.controller().blockedReadsNow(c)); }},
+    {&kChannel, "refreshBacklog", nullptr,
+     [](System &s, int c) { return i64(s.controller().refreshBacklog(c)); }},
+    {&kChannel, "refreshEngaged", nullptr,
+     [](System &s, int c) {
+         return i64(s.controller().refreshEngagedNow(c));
+     }},
+    {&kChannel, "reads", "reads", nullptr},
+    {&kChannel, "writes", "writes", nullptr},
+    {&kChannel, "rowHits", "rowHits", nullptr},
+    {&kChannel, "rowMisses", "rowMisses", nullptr},
+    {&kChannel, "refreshCommands", "refreshCommands", nullptr},
+    {&kChannel, "blockedReadsTotal", "readsBlockedByRefresh", nullptr},
+    {&kChannel, "readQOccInt", nullptr,
+     [](System &s, int c) {
+         return i64(std::llround(
+             s.controller().readQueueOccupancyIntegral(c)));
+     }},
+    {&kChannel, "writeQOccInt", nullptr,
+     [](System &s, int c) {
+         return i64(std::llround(
+             s.controller().writeQueueOccupancyIntegral(c)));
+     }},
+    {&kCore, "instrs", "instrsIssued", nullptr},
+    {&kCore, "dramReads", "dramReads", nullptr},
+    {&kCore, "robStallTicks", "robStallTicks", nullptr},
+    {&kCore, "runq", nullptr,
+     [](System &s, int c) { return i64(s.scheduler().runQueue(c).size()); }},
+};
+
 } // namespace
 
 System::System(const SystemConfig &cfg)
@@ -474,104 +556,56 @@ System::spawnScenarioTask(const workload::ScenarioEvent &ev, Pid pid)
 void
 System::wireTelemetry()
 {
-    auto &tel = *telemetry_;
-    const auto count = [](const Scalar &s) {
-        return static_cast<std::int64_t>(std::llround(s.value()));
+    // One pass over the catalogue per scope instance, in lane order.
+    const auto wire = [this](const SeriesScope &scope, int c, int lane) {
+        const std::string idx = scope.indexed ? std::to_string(c) : "";
+        for (const auto &row : kSeriesCatalogue) {
+            if (row.scope != &scope)
+                continue;
+            const std::string name = scope.head + idx + "." + row.name;
+            if (!row.stat) {
+                telemetry_->addGauge(name, lane, [this, r = row.read, c] {
+                    return r(*this, c);
+                });
+                continue;
+            }
+            const std::string stat = scope.statHead + idx + "." + row.stat;
+            const auto *s =
+                dynamic_cast<const Scalar *>(registry_.find(stat));
+            REFSCHED_ASSERT(s != nullptr, "telemetry series ", name,
+                            " names no Scalar ", stat);
+            telemetry_->addDelta(name, lane, [s] {
+                return i64(std::llround(s->value()));
+            });
+        }
     };
+    wire(kSched, 0, 0);
+    if (servingInjector_)
+        wire(kServing, 0, 0);
+    for (int ch = 0; ch < cfg_.channels; ++ch)
+        wire(kChannel, ch, 1 + ch);
+    for (int i = 0; i < cfg_.numCores; ++i)
+        wire(kCore, i, 1 + cfg_.channels + i);
+}
 
-    // Lane 0: main-lane software components (scheduler, serving).
-    tel.addDelta("sched.quanta", 0, [this, count] {
-        return count(sched_->quantaScheduled);
-    });
-    tel.addDelta("sched.cleanPicks", 0, [this, count] {
-        return count(sched_->cleanPicks);
-    });
-    if (servingInjector_) {
-        auto *srv = servingInjector_.get();
-        tel.addGauge("serving.backlog", 0, [srv] {
-            return static_cast<std::int64_t>(srv->backlogDepth());
+bool
+isKnownTelemetrySeries(const std::string &name)
+{
+    const auto dot = name.find('.');
+    if (dot == std::string::npos)
+        return false;
+    std::string head = name.substr(0, dot);
+    // Split a trailing index off the head: "ch12" -> "ch" + "12".
+    const auto digits = head.find_last_not_of("0123456789") + 1;
+    const bool indexed = digits < head.size();
+    head.resize(digits);
+    return std::any_of(
+        std::begin(kSeriesCatalogue), std::end(kSeriesCatalogue),
+        [&](const SeriesRow &row) {
+            return name.compare(dot + 1, std::string::npos, row.name) == 0
+                && head == row.scope->head
+                && indexed == row.scope->indexed;
         });
-        tel.addDelta("serving.arrivals", 0, [srv] {
-            return static_cast<std::int64_t>(srv->arrivals());
-        });
-        tel.addDelta("serving.drops", 0, [srv] {
-            return static_cast<std::int64_t>(srv->dropped());
-        });
-        tel.addDelta("serving.completed", 0, [srv] {
-            return static_cast<std::int64_t>(srv->completed());
-        });
-    }
-
-    // Lane 1+ch: per-channel controller state.  Gauges read the
-    // instantaneous queue/refresh state; deltas difference the
-    // registered Scalars.  The occupancy integrals are integer-exact
-    // (sums of depth x dt products), so llround is lossless.
-    for (int ch = 0; ch < cfg_.channels; ++ch) {
-        const int lane = 1 + ch;
-        const std::string p = "ch" + std::to_string(ch) + ".";
-        auto *mc = mc_.get();
-        tel.addGauge(p + "readQ", lane, [mc, ch] {
-            return static_cast<std::int64_t>(mc->readQueueSize(ch));
-        });
-        tel.addGauge(p + "writeQ", lane, [mc, ch] {
-            return static_cast<std::int64_t>(mc->writeQueueSize(ch));
-        });
-        tel.addGauge(p + "blockedReads", lane, [mc, ch] {
-            return static_cast<std::int64_t>(mc->blockedReadsNow(ch));
-        });
-        tel.addGauge(p + "refreshBacklog", lane, [mc, ch] {
-            return static_cast<std::int64_t>(mc->refreshBacklog(ch));
-        });
-        tel.addGauge(p + "refreshEngaged", lane, [mc, ch] {
-            return static_cast<std::int64_t>(
-                mc->refreshEngagedNow(ch) ? 1 : 0);
-        });
-        const auto &s = mc->channelStats(ch);
-        tel.addDelta(p + "reads", lane,
-                     [&s, count] { return count(s.reads); });
-        tel.addDelta(p + "writes", lane,
-                     [&s, count] { return count(s.writes); });
-        tel.addDelta(p + "rowHits", lane,
-                     [&s, count] { return count(s.rowHits); });
-        tel.addDelta(p + "rowMisses", lane,
-                     [&s, count] { return count(s.rowMisses); });
-        tel.addDelta(p + "refreshCommands", lane, [&s, count] {
-            return count(s.refreshCommands);
-        });
-        tel.addDelta(p + "blockedReadsTotal", lane, [&s, count] {
-            return count(s.readsBlockedByRefresh);
-        });
-        tel.addGauge(p + "readQOccInt", lane, [mc, ch] {
-            return static_cast<std::int64_t>(
-                std::llround(mc->readQueueOccupancyIntegral(ch)));
-        });
-        tel.addGauge(p + "writeQOccInt", lane, [mc, ch] {
-            return static_cast<std::int64_t>(
-                std::llround(mc->writeQueueOccupancyIntegral(ch)));
-        });
-    }
-
-    // Lane 1+channels+i: per-core progress.  IPC is derivable from
-    // the instrs delta and the fixed period; emitting the raw count
-    // keeps every series integer (byte-stable formatting).
-    for (int i = 0; i < cfg_.numCores; ++i) {
-        const int lane = 1 + cfg_.channels + i;
-        const std::string p = "core" + std::to_string(i) + ".";
-        auto *core = cores_[static_cast<std::size_t>(i)].get();
-        tel.addDelta(p + "instrs", lane, [core, count] {
-            return count(core->instrsIssued);
-        });
-        tel.addDelta(p + "dramReads", lane, [core, count] {
-            return count(core->dramReads);
-        });
-        tel.addDelta(p + "robStallTicks", lane, [core, count] {
-            return count(core->robStallTicks);
-        });
-        tel.addGauge(p + "runq", lane, [this, i] {
-            return static_cast<std::int64_t>(
-                sched_->runQueue(i).size());
-        });
-    }
 }
 
 void

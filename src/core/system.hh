@@ -19,6 +19,7 @@
 
 #include <memory>
 #include <ostream>
+#include <string>
 #include <vector>
 
 #include "cache/cache_hierarchy.hh"
@@ -170,9 +171,9 @@ class System
     void assignBankMasks(const std::vector<os::Task *> &live);
     void preTouchFootprints();
     void resetMeasurement();
-    /** Register every telemetry series (channel, core, scheduler,
-     *  serving) in (laneId, seriesId) order and hook the recorder
-     *  into the active kernel. */
+    /** Register every series of the catalogue (core/system.cc) for
+     *  the scheduler, serving, each channel and each core, in
+     *  (laneId, seriesId) order. */
     void wireTelemetry();
 
     /** ScenarioDirector spawn hook: create the Task + source for a
@@ -215,6 +216,11 @@ class System
     SelfProfile profile_;
     bool ran_ = false;
 };
+
+/** True iff @p name is a series of the telemetry catalogue under its
+ *  scope's head ("sched.", "serving.", "ch<N>." or "core<N>."); what
+ *  tools/timeline_check validates counter tracks against. */
+bool isKnownTelemetrySeries(const std::string &name);
 
 } // namespace refsched::core
 

@@ -1,8 +1,5 @@
 #include "obs/telemetry.hh"
 
-#include <algorithm>
-#include <array>
-#include <cctype>
 #include <fstream>
 
 #include "obs/timeline.hh"
@@ -54,6 +51,11 @@ TelemetryRecorder::addSeries(std::string name, int laneId, Kind kind,
 void
 TelemetryRecorder::reserveSamples(std::size_t passes)
 {
+    if (passes > kMaxSampleValues / (series_.empty() ? 1 : series_.size()))
+        fatal("telemetry period ", cfg_.periodTicks, " ps needs ",
+              passes, " sample passes x ", series_.size(),
+              " series, over the budget of ", kMaxSampleValues,
+              " sample values; use a longer period");
     passTicks_.reserve(passTicks_.size() + passes);
     values_.reserve(values_.size() + passes * series_.size());
 }
@@ -175,60 +177,6 @@ TelemetryRecorder::exportCounters(TimelineRecorder &tl) const
         for (std::size_t s = 0; s < series_.size(); ++s)
             tl.addCounter(passTicks_[p], series_[s].name,
                           value(p, s));
-}
-
-bool
-isKnownTelemetrySeries(const std::string &name)
-{
-    static constexpr std::array<const char *, 13> kChannelMetrics = {
-        "readQ",          "writeQ",        "blockedReads",
-        "refreshBacklog", "refreshEngaged", "reads",
-        "writes",         "rowHits",       "rowMisses",
-        "refreshCommands", "blockedReadsTotal",
-        "readQOccInt",    "writeQOccInt",
-    };
-    static constexpr std::array<const char *, 4> kCoreMetrics = {
-        "instrs", "dramReads", "robStallTicks", "runq",
-    };
-    static constexpr std::array<const char *, 2> kSchedMetrics = {
-        "quanta", "cleanPicks",
-    };
-    static constexpr std::array<const char *, 4> kServingMetrics = {
-        "backlog", "arrivals", "drops", "completed",
-    };
-
-    const auto dot = name.find('.');
-    if (dot == std::string::npos || dot + 1 >= name.size())
-        return false;
-    const std::string head = name.substr(0, dot);
-    const std::string metric = name.substr(dot + 1);
-
-    const auto among = [&metric](const auto &list) {
-        return std::any_of(list.begin(), list.end(),
-                           [&metric](const char *m) {
-                               return metric == m;
-                           });
-    };
-    const auto indexed = [&head](const char *prefix) {
-        const std::size_t n = std::char_traits<char>::length(prefix);
-        if (head.size() <= n || head.compare(0, n, prefix) != 0)
-            return false;
-        return std::all_of(head.begin()
-                               + static_cast<std::ptrdiff_t>(n),
-                           head.end(), [](unsigned char c) {
-                               return std::isdigit(c) != 0;
-                           });
-    };
-
-    if (head == "sched")
-        return among(kSchedMetrics);
-    if (head == "serving")
-        return among(kServingMetrics);
-    if (indexed("ch"))
-        return among(kChannelMetrics);
-    if (indexed("core"))
-        return among(kCoreMetrics);
-    return false;
 }
 
 } // namespace refsched::obs

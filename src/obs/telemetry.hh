@@ -6,7 +6,9 @@
  * A TelemetryRecorder holds an ordered set of registered series --
  * integer-valued gauges (sampled as-is) and deltas (difference since
  * the previous sample) -- and takes one sample pass per crossed
- * multiple of cfg.telemetry.periodTicks.  Two drivers exist:
+ * multiple of cfg.telemetry.periodTicks.  It knows no series names;
+ * those live in System's series catalogue (core/system.cc).  Two
+ * drivers exist:
  *
  *   sharded kernel  System registers onBoundary() as the LAST phase-C
  *                   boundary hook.  Every lane is quiescent there and
@@ -99,7 +101,12 @@ class TelemetryRecorder final : public Callee
                          std::move(s));
     }
 
-    /** Pre-size the buffers for @p passes sample passes. */
+    /** Most sample values (passes x series) one run may buffer:
+     *  512 MiB of int64. */
+    static constexpr std::size_t kMaxSampleValues = std::size_t{1} << 26;
+
+    /** Pre-size the buffers for @p passes sample passes; fatal()
+     *  before allocating when that exceeds kMaxSampleValues. */
     void reserveSamples(std::size_t passes);
 
     /**
@@ -192,14 +199,6 @@ class TelemetryRecorder final : public Callee
     EventQueue *periodicEq_ = nullptr;
     bool sealed_ = false;
 };
-
-/**
- * True iff @p name is a series name this subsystem emits:
- * "ch<N>.<metric>", "core<N>.<metric>", "sched.<metric>" or
- * "serving.<metric>" with a known metric suffix.  The source of
- * truth for tools/timeline_check's counter-track validation.
- */
-bool isKnownTelemetrySeries(const std::string &name);
 
 } // namespace refsched::obs
 

@@ -9,10 +9,19 @@
  * (shards == 0) is checked for run-to-run determinism on its own
  * since its periodic-event driver shares no boundary grid with the
  * sharded one.
+ *
+ * Identity alone cannot see a rename, reorder or kind flip that
+ * changes every run alike, so TelemetryGoldenTest also compares each
+ * kernel's export byte-for-byte with a checked-in fixture,
+ * tests/validate/data/telemetry_<kernel>.jsonl.  A missing or
+ * diverging fixture writes the produced export to
+ * telemetry_<kernel>.jsonl in the working directory; copy it into
+ * tests/validate/data/ only for an intended change to the series.
  */
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -148,6 +157,48 @@ TEST(TelemetryIdentityTest, CsvMatchesJsonlValues)
     EXPECT_NE(csv.str().find(std::to_string(tel->passTick(0))),
               std::string::npos);
 }
+
+TEST(TelemetryIdentityTest, EveryRegisteredSeriesIsInTheCatalogue)
+{
+    core::System sys(telemetryConfig(0));
+    const auto *tel = sys.telemetry();
+    ASSERT_NE(tel, nullptr);
+    // sched 2 + serving 4 + 2 channels x 13 + 2 cores x 4.
+    EXPECT_EQ(tel->seriesCount(), 40u);
+    for (std::size_t s = 0; s < tel->seriesCount(); ++s)
+        EXPECT_TRUE(core::isKnownTelemetrySeries(tel->seriesName(s)))
+            << tel->seriesName(s);
+}
+
+class TelemetryGoldenTest : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(TelemetryGoldenTest, JsonlMatchesFixture)
+{
+    const std::string name = std::string("telemetry_")
+        + (GetParam() == 0 ? "legacy" : "sharded") + ".jsonl";
+    const std::string fixture =
+        std::string(REFSCHED_TEST_DATA_DIR) + "/" + name;
+    const std::string produced =
+        runTelemetryJsonl(telemetryConfig(GetParam()));
+
+    std::ifstream f(fixture, std::ios::binary);
+    std::ostringstream expected;
+    expected << f.rdbuf();
+    if (f && expected.str() == produced)
+        return;
+    std::ofstream(name, std::ios::binary) << produced;
+    FAIL() << (f ? "telemetry diverged from " : "missing ") << fixture
+           << "; wrote the actual export to " << name;
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, TelemetryGoldenTest,
+                         ::testing::Values(0, 1),
+                         [](const ::testing::TestParamInfo<int> &info) {
+                             return info.param == 0 ? "legacy"
+                                                    : "sharded";
+                         });
 
 } // namespace
 } // namespace refsched::obs

@@ -3,8 +3,9 @@
  * Telemetry-recorder units: sampling window semantics for both
  * drivers (sharded boundary hook, legacy periodic event), gauge vs
  * delta accounting, measurement restart re-priming, byte-exact
- * JSONL/CSV export, and the series-name grammar consumed by
- * tools/timeline_check.
+ * JSONL/CSV export, the sample budget, and the series-name check
+ * (core::isKnownTelemetrySeries, answered from System's series
+ * catalogue) consumed by tools/timeline_check.
  */
 
 #include "obs/telemetry.hh"
@@ -15,12 +16,16 @@
 #include <sstream>
 #include <string>
 
+#include "core/system.hh"
 #include "simcore/event_queue.hh"
+#include "simcore/logging.hh"
 
 namespace refsched::obs
 {
 namespace
 {
+
+using core::isKnownTelemetrySeries;
 
 TelemetryConfig
 enabledConfig(Tick period)
@@ -197,6 +202,20 @@ TEST(TelemetryRecorderTest, CsvExportIsByteExact)
     std::ostringstream os;
     rec.writeCsv(os);
     EXPECT_EQ(os.str(), "tick,ch0.readQ\n250,3\n500,5\n");
+}
+
+TEST(TelemetryRecorderTest, ReserveBeyondTheBudgetIsFatal)
+{
+    // Rejected before allocating: a period far below the run length
+    // must not take the process down with bad_alloc.
+    TelemetryRecorder rec(enabledConfig(1));
+    std::int64_t v = 0;
+    rec.addGauge("ch0.readQ", 1, [&v] { return v; });
+    rec.addGauge("ch0.writeQ", 1, [&v] { return v; });
+    EXPECT_THROW(
+        rec.reserveSamples(TelemetryRecorder::kMaxSampleValues / 2 + 1),
+        FatalError);
+    rec.reserveSamples(1000);  // an ordinary run still fits
 }
 
 TEST(TelemetrySeriesGrammarTest, AcceptsEveryEmittedName)

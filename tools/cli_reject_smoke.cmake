@@ -66,3 +66,12 @@ foreach(entry IN LISTS bad_flags)
         message(FATAL_ERROR "'${entry}' exited ${rc} without a message")
     endif()
 endforeach()
+
+# A period that parses but would buffer more samples than the budget
+# (~8 M passes x 23 series here) fails with a message, not bad_alloc.
+execute_process(COMMAND "${CLI}" ${base} --telemetry-period 1
+    --telemetry "${CMAKE_CURRENT_BINARY_DIR}/cli_reject.jsonl"
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err TIMEOUT 10)
+if(NOT rc EQUAL 1 OR NOT err MATCHES "telemetry period 1 ps needs")
+    message(FATAL_ERROR "'--telemetry-period 1' accepted (${rc}): ${err}")
+endif()

@@ -7,17 +7,17 @@
  * Checks, in order:
  *   1. the file parses as JSON and has the Chrome trace-event shape
  *      ({"traceEvents": [...]}, each event an object with ph/pid/
- *      name, ts on every non-metadata event, dur on complete
- *      events);
+ *      name, a finite ts on every non-metadata event, a finite
+ *      non-negative dur on complete events);
  *   2. per track (pid, tid): timestamps are monotonically
  *      non-decreasing in file order and complete ("X") slices do not
  *      overlap;
  *   3. counter ("C") events carry a non-empty args object whose
- *      members are all non-negative numbers, and sit on the pid-3
- *      telemetry process under a telemetry series name
- *      (obs::isKnownTelemetrySeries).  Timelines carry counters only
- *      when the run also sampled telemetry (refsched_cli
- *      --telemetry);
+ *      members are all finite non-negative numbers, and sit on the
+ *      pid-3 telemetry process under a name in the series catalogue
+ *      System samples from (core::isKnownTelemetrySeries).
+ *      Timelines carry counters only when the run also sampled
+ *      telemetry (refsched_cli --telemetry);
  *   4. with --require-clean-picks (co-design runs): no scheduling
  *      quantum ran a task with pages resident in a bank under
  *      refresh -- every quantum slice's residentInRefreshBanks is 0
@@ -27,6 +27,7 @@
  * input, 2 on usage errors.
  */
 
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -36,8 +37,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/system.hh"
 #include "obs/json.hh"
-#include "obs/telemetry.hh"
 #include "simcore/logging.hh"
 
 using namespace refsched;
@@ -98,7 +99,7 @@ check(const obs::JsonValue &doc, bool requireCleanPicks)
             continue;
 
         const auto *ts = ev.find("ts");
-        if (!ts || !ts->isNumber())
+        if (!ts || !ts->isNumber() || !std::isfinite(ts->number))
             return fail(i, "missing/invalid ts");
         const auto *tid = ev.find("tid");
         if (!tid || !tid->isNumber())
@@ -112,20 +113,20 @@ check(const obs::JsonValue &doc, bool requireCleanPicks)
 
         if (phase == 'C') {
             const auto *args = ev.find("args");
-            if (!args || !args->isObject() || args->object.empty())
+            if (!args || args->object.empty())
                 return fail(i,
                             "counter event needs a non-empty args "
                             "object");
             for (const auto &[key, val] : args->object) {
-                if (!val.isNumber())
+                if (!val.isNumber() || !std::isfinite(val.number))
                     return fail(i, "counter value '" + key
-                                       + "' is not a number");
+                                       + "' is not a finite number");
                 if (val.number < 0.0)
                     return fail(i, "counter value '" + key
                                        + "' is negative");
             }
             if (pid->number != 3.0
-                || !obs::isKnownTelemetrySeries(name->string))
+                || !core::isKnownTelemetrySeries(name->string))
                 return fail(i, "unknown counter track '"
                                    + name->string + "'");
             ++counterCount;
@@ -133,7 +134,8 @@ check(const obs::JsonValue &doc, bool requireCleanPicks)
 
         if (phase == 'X') {
             const auto *dur = ev.find("dur");
-            if (!dur || !dur->isNumber() || dur->number < 0.0)
+            if (!dur || !dur->isNumber() || !std::isfinite(dur->number)
+                || dur->number < 0.0)
                 return fail(i, "complete event missing/invalid dur");
             // 1e-6 us = 1 ps: below the simulator's tick resolution,
             // absorbing decimal rounding of the exact ps timestamps.
@@ -190,19 +192,16 @@ int
 main(int argc, char **argv)
 {
     std::string path;
-    bool requireCleanPicks = false;
+    bool requireCleanPicks = false, badArg = false;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--require-clean-picks") == 0) {
+        if (std::strcmp(argv[i], "--require-clean-picks") == 0)
             requireCleanPicks = true;
-        } else if (path.empty() && argv[i][0] != '-') {
+        else if (path.empty() && argv[i][0] != '-')
             path = argv[i];
-        } else {
-            std::cerr << "usage: " << argv[0]
-                      << " TRACE.json [--require-clean-picks]\n";
-            return 2;
-        }
+        else
+            badArg = true;
     }
-    if (path.empty()) {
+    if (badArg || path.empty()) {
         std::cerr << "usage: " << argv[0]
                   << " TRACE.json [--require-clean-picks]\n";
         return 2;
