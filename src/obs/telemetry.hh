@@ -137,7 +137,6 @@ class TelemetryRecorder final : public Callee
     void restart();
 
     // --- Introspection (tests) ---
-    Tick periodTicks() const { return cfg_.periodTicks; }
     Tick nextSampleTick() const { return nextSample_; }
     std::size_t seriesCount() const { return series_.size(); }
     std::size_t passCount() const { return passTicks_.size(); }
@@ -155,11 +154,6 @@ class TelemetryRecorder final : public Callee
     seriesName(std::size_t series) const
     {
         return series_[series].name;
-    }
-    int
-    seriesLane(std::size_t series) const
-    {
-        return series_[series].laneId;
     }
 
     /**

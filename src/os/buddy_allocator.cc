@@ -196,7 +196,7 @@ BuddyAllocator::allocPageAnyBank(Task *task)
 }
 
 void
-BuddyAllocator::freePage(std::uint64_t pfn, Pid owner)
+BuddyAllocator::freePage(std::uint64_t pfn, [[maybe_unused]] Pid owner)
 {
     REFSCHED_ASSERT(pfn < totalFrames_, "freePage out of range");
     const int bank = mapping_.bankOfFrame(pfn);

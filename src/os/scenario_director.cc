@@ -184,9 +184,16 @@ ScenarioDirector::migrateStalePages(Task *task)
                                    linesPerPage(),
                                    &task->possibleBanksVector}));
         ++pagesMigrated;
-        jobs_.push_back({task, task->pid(), moved->first,
-                         moved->second, 0, 0});
-        readQueue_.push_back(jobs_.size() - 1);
+        const MigrationJob job{task, task->pid(), moved->first,
+                               moved->second, 0, 0};
+        if (freeJobs_.empty()) {
+            readQueue_.push_back(jobs_.size());
+            jobs_.push_back(job);
+        } else {
+            readQueue_.push_back(freeJobs_.back());
+            jobs_[freeJobs_.back()] = job;
+            freeJobs_.pop_back();
+        }
         ++activeJobs_[task->pid()];
     }
 }
@@ -286,6 +293,8 @@ ScenarioDirector::fire(Tick now, std::uint64_t jobIdx,
         auto it = activeJobs_.find(job.pid);
         if (it != activeJobs_.end() && --it->second == 0)
             activeJobs_.erase(it);
+        // No request names this job any more: its slot is free.
+        freeJobs_.push_back(jobIdx);
     }
     (void)now;
     issueCopyReads();

@@ -92,7 +92,7 @@ class ScenarioDirector final : public Callee
      *  first boundary.  Call after Scheduler::start(). */
     void start(const std::vector<Task *> &initialTasks);
 
-    /** Migration-copy read completions (cookie0 = job index,
+    /** Migration-copy read completions (cookie0 = job slot,
      *  cookie1 = line index). */
     void fire(Tick now, std::uint64_t jobIdx,
               std::uint64_t lineIdx) override;
@@ -104,6 +104,10 @@ class ScenarioDirector final : public Callee
 
     /** Migration copies still in flight (tests drain on this). */
     bool migrationsPending() const { return outstandingReads_ > 0; }
+
+    /** Migration-job slots allocated so far: the most jobs ever in
+     *  flight at once, since finished jobs give their slot back. */
+    std::size_t migrationJobSlots() const { return jobs_.size(); }
 
     // --- Statistics ---
     Scalar spawns;
@@ -166,8 +170,10 @@ class ScenarioDirector final : public Callee
     /** In-flight migration jobs per pid (kills wait on zero). */
     std::unordered_map<Pid, int> activeJobs_;
 
-    /** Jobs are appended, never erased: cookie0 indexes here. */
+    /** Job slots; cookie0 indexes here.  A job whose last line has
+     *  completed returns its slot to freeJobs_ for the next job. */
     std::vector<MigrationJob> jobs_;
+    std::vector<std::size_t> freeJobs_;
     /** Jobs with unissued read lines, in creation order. */
     std::deque<std::size_t> readQueue_;
     /** Copy writes bounced by a full write queue. */

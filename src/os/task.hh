@@ -16,12 +16,11 @@
 #ifndef REFSCHED_OS_TASK_HH
 #define REFSCHED_OS_TASK_HH
 
-#include <array>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "os/page_table.hh"
 #include "simcore/types.hh"
 
 namespace refsched::cpu
@@ -101,18 +100,7 @@ class Task
     // --- Virtual memory ---
 
     /** vpn -> pfn demand-paged mappings. */
-    std::unordered_map<std::uint64_t, std::uint64_t> pageTable;
-
-    /**
-     * Direct-mapped vpn -> pfn cache over pageTable (a simulator
-     * fast path, not an architectural TLB: no hit/miss accounting,
-     * no latency).  Tags store vpn + 1 so 0 means empty.  Contents
-     * always mirror pageTable; mappings are only ever dropped
-     * wholesale at address-space teardown, which flushes it.
-     */
-    static constexpr std::size_t kTlbEntries = 256;
-    std::array<std::uint64_t, kTlbEntries> tlbTag{};
-    std::array<std::uint64_t, kTlbEntries> tlbPfn{};
+    PageTable pageTable;
 
     /** Resident page count per global bank. */
     std::vector<std::uint32_t> residentPagesPerBank;

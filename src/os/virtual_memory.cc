@@ -1,6 +1,6 @@
 #include "os/virtual_memory.hh"
 
-#include <algorithm>
+#include <ios>
 
 #include "simcore/logging.hh"
 
@@ -20,21 +20,22 @@ VirtualMemory::translate(Task &task, Addr vaddr, bool *faulted)
     const std::uint64_t vpn = vaddr >> shift;
     const Addr offset = vaddr & ((1ULL << shift) - 1);
 
-    const std::size_t slot = vpn & (Task::kTlbEntries - 1);
-    if (task.tlbTag[slot] == vpn + 1) {
+    const std::uint64_t mapped = task.pageTable.lookup(vpn);
+    if (mapped != PageTable::kUnmapped) {
         if (faulted)
             *faulted = false;
-        return (task.tlbPfn[slot] << shift) | offset;
+        return (mapped << shift) | offset;
     }
 
-    auto it = task.pageTable.find(vpn);
-    if (it != task.pageTable.end()) {
-        task.tlbTag[slot] = vpn + 1;
-        task.tlbPfn[slot] = it->second;
-        if (faulted)
-            *faulted = false;
-        return (it->second << shift) | offset;
-    }
+    // A task's virtual space is at most the size of physical memory
+    // (the capacity guard holds footprints well under it), so a vpn
+    // past it is a forged or corrupt address, not a page to map.
+    const std::uint64_t limit = mapping_.totalFrames();
+    if (vpn >= limit)
+        fatal("task ", task.name(), " (pid ", task.pid(),
+              ") touched vaddr 0x", std::hex, vaddr, std::dec, " (vpn ", vpn,
+              ") past its address-space limit of ", limit,
+              " pages (the physical frame count)");
 
     // Demand paging: Algorithm 2 first, any-bank fallback second.
     // The allocator records the task's bank footprint (and the
@@ -50,9 +51,7 @@ VirtualMemory::translate(Task &task, Addr vaddr, bool *faulted)
               task.pid(), ") touched vpn ", vpn, " with ",
               buddy_.freeFrames(), " free frames");
 
-    task.pageTable.emplace(vpn, *pfn);
-    task.tlbTag[slot] = vpn + 1;
-    task.tlbPfn[slot] = *pfn;
+    task.pageTable.map(vpn, *pfn, limit);
     ++task.pageFaults;
     ++pageFaults_;
     if (faulted)
@@ -63,16 +62,11 @@ VirtualMemory::translate(Task &task, Addr vaddr, bool *faulted)
 void
 VirtualMemory::releaseTask(Task &task)
 {
-    // Free in vpn order: pageTable iteration order is
-    // implementation-defined and the frees are probe-visible, so an
-    // unordered walk would leak hash-map layout into golden traces.
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> pages(
-        task.pageTable.begin(), task.pageTable.end());
-    std::sort(pages.begin(), pages.end());
-    for (const auto &[vpn, pfn] : pages)
+    // Free in vpn order: the frees are probe-visible.
+    task.pageTable.forEach([&](std::uint64_t, std::uint64_t pfn) {
         buddy_.freePage(pfn, task.pid());
+    });
     task.pageTable.clear();
-    task.tlbTag.fill(0);
     task.clearResidentPages();
 }
 
@@ -80,22 +74,20 @@ std::vector<std::uint64_t>
 VirtualMemory::collectStalePages(const Task &task) const
 {
     std::vector<std::uint64_t> stale;
-    for (const auto &[vpn, pfn] : task.pageTable) {
+    task.pageTable.forEach([&](std::uint64_t vpn, std::uint64_t pfn) {
         if (!task.allowsBank(mapping_.bankOfFrame(pfn)))
             stale.push_back(vpn);
-    }
-    std::sort(stale.begin(), stale.end());
+    });
     return stale;
 }
 
 std::optional<std::pair<std::uint64_t, std::uint64_t>>
 VirtualMemory::migratePage(Task &task, std::uint64_t vpn, bool freeOld)
 {
-    auto it = task.pageTable.find(vpn);
-    REFSCHED_ASSERT(it != task.pageTable.end(),
+    const std::uint64_t fromPfn = task.pageTable.lookup(vpn);
+    REFSCHED_ASSERT(fromPfn != PageTable::kUnmapped,
                     "migratePage: vpn ", vpn, " not mapped for pid ",
                     task.pid());
-    const std::uint64_t fromPfn = it->second;
 
     // Algorithm 2 placement into the new mask; allocPage records the
     // destination in the task's residency footprint.
@@ -103,10 +95,7 @@ VirtualMemory::migratePage(Task &task, std::uint64_t vpn, bool freeOld)
     if (!toPfn)
         return std::nullopt;  // permitted banks exhausted: stay put
 
-    it->second = *toPfn;
-    const std::size_t slot = vpn & (Task::kTlbEntries - 1);
-    if (task.tlbTag[slot] == vpn + 1)
-        task.tlbPfn[slot] = *toPfn;
+    task.pageTable.map(vpn, *toPfn, mapping_.totalFrames());
     if (freeOld) {
         task.removeResidentPage(mapping_.bankOfFrame(fromPfn));
         buddy_.freePage(fromPfn, task.pid());
@@ -117,21 +106,16 @@ VirtualMemory::migratePage(Task &task, std::uint64_t vpn, bool freeOld)
 std::uint64_t
 VirtualMemory::trimFootprint(Task &task, std::uint64_t vpnBound)
 {
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> doomed;
-    for (const auto &[vpn, pfn] : task.pageTable) {
-        if (vpn >= vpnBound)
-            doomed.emplace_back(vpn, pfn);
-    }
-    std::sort(doomed.begin(), doomed.end());
-    for (const auto &[vpn, pfn] : doomed) {
-        task.pageTable.erase(vpn);
-        const std::size_t slot = vpn & (Task::kTlbEntries - 1);
-        if (task.tlbTag[slot] == vpn + 1)
-            task.tlbTag[slot] = 0;
-        task.removeResidentPage(mapping_.bankOfFrame(pfn));
-        buddy_.freePage(pfn, task.pid());
-    }
-    return doomed.size();
+    std::uint64_t released = 0;
+    task.pageTable.forEach(
+        [&](std::uint64_t vpn, std::uint64_t pfn) {
+            task.pageTable.unmap(vpn);
+            task.removeResidentPage(mapping_.bankOfFrame(pfn));
+            buddy_.freePage(pfn, task.pid());
+            ++released;
+        },
+        vpnBound);
+    return released;
 }
 
 } // namespace refsched::os

@@ -36,7 +36,9 @@ class VirtualMemory
      * Translate @p vaddr for @p task, allocating the backing frame
      * on first touch.  @p faulted (optional) reports whether this
      * access took a page fault.  fatal() when physical memory is
-     * fully exhausted.
+     * fully exhausted, and when the page lies at or past vpn
+     * mapping().totalFrames(): a task's virtual space is at most the
+     * size of physical memory.
      */
     Addr translate(Task &task, Addr vaddr, bool *faulted = nullptr);
 
@@ -46,15 +48,14 @@ class VirtualMemory
     /**
      * Virtual pages of @p task whose backing frame lives in a bank
      * its current possibleBanksVector forbids -- the stale set after
-     * a consolidation re-binpack.  Sorted by vpn (deterministic
-     * regardless of pageTable iteration order).
+     * a consolidation re-binpack, in vpn order.
      */
     std::vector<std::uint64_t> collectStalePages(const Task &task) const;
 
     /**
      * Move @p vpn's backing frame into a bank permitted by the
      * task's current possibleBanksVector (Algorithm 2 placement).
-     * The mapping, TLB and bank residency are rewritten immediately;
+     * The mapping and bank residency are rewritten immediately;
      * the caller models the copy traffic.  When @p freeOld is false
      * the source frame is left allocated (transiently double-counted
      * against the task) and the caller must freePage it once the copy

@@ -34,19 +34,19 @@ AdversarialHotspotSource::next()
         return e;  // nothing forecastable (AllBank, NoRefresh, ...)
 
     if (banks != cachedBanks_) {
-        // Rebuild the target-page list by walking vpns in order (a
-        // pageTable iteration would leak hash order into the trace).
-        // Pages are touched lazily, so unmapped vpns simply skip.
+        // Rebuild the target-page list over the footprint's vpns,
+        // in vpn order.  Pages are touched lazily, so unmapped vpns
+        // simply skip.
         cachedBanks_ = banks;
         candidates_.clear();
         const std::uint64_t pageBytes = mapping_->pageBytes();
         const std::uint64_t vpns =
             (base_.footprintBytes() + pageBytes - 1) / pageBytes;
         for (std::uint64_t vpn = 0; vpn < vpns; ++vpn) {
-            const auto it = task_->pageTable.find(vpn);
-            if (it == task_->pageTable.end())
+            const std::uint64_t pfn = task_->pageTable.lookup(vpn);
+            if (pfn == os::PageTable::kUnmapped)
                 continue;
-            const int bank = mapping_->bankOfFrame(it->second);
+            const int bank = mapping_->bankOfFrame(pfn);
             for (const int b : banks) {
                 if (b == bank) {
                     candidates_.push_back(vpn);

@@ -129,6 +129,31 @@ TEST(ScenarioIntegrationTest, MigrationRecoversAdversarialColocation)
     (void)staleClean;
 }
 
+TEST(ScenarioIntegrationTest, LaterSweepReusesMigrationJobSlots)
+{
+    // The fixture's kill (quantum 2) and spawn (quantum 3) each
+    // re-binpack and sweep; a second kill long after those copies
+    // have drained sweeps again.  A finished job gives its slot back,
+    // so the slots stay below the pages migrated over the run.
+    SystemConfig cfg = fixtureConfig(/*migrate=*/true);
+    workload::ScenarioEvent kill;
+    kill.kind = workload::ScenarioEventKind::Kill;
+    kill.quantum = 24;
+    kill.pid = 3;
+    cfg.scenario.events.push_back(kill);
+
+    System sys(cfg);
+    const Metrics m = sys.run(/*warmupQuanta=*/0, /*measureQuanta=*/48);
+    EXPECT_EQ(m.validationViolations, 0u) << m.firstViolation;
+    const os::ScenarioDirector *dir = sys.scenarioDirector();
+    ASSERT_NE(dir, nullptr);
+    EXPECT_EQ(dir->kills.value(), 2.0);
+    EXPECT_FALSE(dir->migrationsPending());
+    EXPECT_GT(dir->migrationJobSlots(), 0u);
+    EXPECT_LT(static_cast<double>(dir->migrationJobSlots()),
+              dir->pagesMigrated.value());
+}
+
 /** Run the fixture config under @p jobs workers, tracing each cell. */
 std::vector<Metrics>
 runScenarioGrid(int jobs, std::vector<validate::TraceRecorder> &recs)

@@ -6,8 +6,8 @@
  * stale-page migration and phase-style footprint trimming, checking
  * after every round that:
  *  - the virtual memory map is a bijection: across all live tasks no
- *    physical frame backs two virtual pages, and the TLB fast path
- *    agrees with the page table;
+ *    physical frame backs two virtual pages, and translate() of every
+ *    mapped vpn returns its frame without faulting;
  *  - after a full migration sweep that never exhausted a mask, every
  *    resident page of every task lives in a bank its current
  *    possible_banks_vector permits;
@@ -20,7 +20,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -73,18 +72,18 @@ struct Model
 };
 
 void
-checkRound(const Fixture &f, const Model &m, bool masksGuaranteed,
+checkRound(Fixture &f, const Model &m, bool masksGuaranteed,
            const char *when)
 {
     SCOPED_TRACE(when);
 
-    // Bijection + TLB coherence + per-bank residency recount.
+    // Bijection + translate agreement + per-bank residency recount.
     std::unordered_set<std::uint64_t> usedPfns;
     std::uint64_t mappedPages = 0;
     for (const auto &t : m.live) {
         std::vector<std::uint32_t> perBank(
             static_cast<std::size_t>(f.mapping.totalBanks()), 0);
-        for (const auto &[vpn, pfn] : t->pageTable) {
+        t->pageTable.forEach([&](std::uint64_t vpn, std::uint64_t pfn) {
             EXPECT_TRUE(usedPfns.insert(pfn).second)
                 << "pfn " << pfn << " backs two virtual pages";
             ++mappedPages;
@@ -95,13 +94,14 @@ checkRound(const Fixture &f, const Model &m, bool masksGuaranteed,
                     << "pid " << t->pid() << " vpn " << vpn
                     << " resident in forbidden bank " << bank;
             }
-            const std::size_t slot = vpn % Task::kTlbEntries;
-            if (t->tlbTag[slot] == vpn + 1) {
-                EXPECT_EQ(t->tlbPfn[slot], pfn)
-                    << "TLB disagrees with the page table at vpn "
-                    << vpn;
-            }
-        }
+            const auto shift = f.mapping.pageShift();
+            bool faulted = true;
+            EXPECT_EQ(f.vm.translate(*t, vpn << shift, &faulted) >> shift,
+                      pfn)
+                << "translate disagrees with the page table at vpn "
+                << vpn;
+            EXPECT_FALSE(faulted) << "mapped vpn " << vpn << " faulted";
+        });
         for (int b = 0; b < f.mapping.totalBanks(); ++b) {
             EXPECT_EQ(t->residentPagesPerBank[static_cast<std::size_t>(
                           b)],
@@ -164,8 +164,9 @@ TEST(PageMigrationPropertyTest, RandomChurnKeepsMapSound)
             Task &t = *m.live[rng.below(m.live.size())];
             const std::uint64_t bound = rng.inRange(1, kMaxPages / 2);
             f.vm.trimFootprint(t, bound);
-            for (const auto &[vpn, pfn] : t.pageTable)
+            t.pageTable.forEach([&](std::uint64_t vpn, std::uint64_t) {
                 EXPECT_LT(vpn, bound);
+            });
         }
 
         // Consolidation: re-randomize masks, then migrate every

@@ -132,13 +132,64 @@ TEST(VirtualMemoryTest, OutOfMemoryIsFatal)
     dram::AddressMapping mapping(dev.org);
     BuddyAllocator buddy(mapping);
     VirtualMemory vm(mapping, buddy);
-    Task t(1, "t", mapping.totalBanks());
+    Task first(1, "first", mapping.totalBanks());
+    Task second(2, "second", mapping.totalBanks());
 
+    // The first task fills physical memory; the second task's first
+    // touch, at an in-range vpn, finds no frame.
     for (std::uint64_t p = 0; p < mapping.totalFrames(); ++p)
-        vm.translate(t, p * mapping.pageBytes());
-    EXPECT_THROW(vm.translate(t, mapping.totalFrames()
-                                     * mapping.pageBytes()),
-                 FatalError);
+        vm.translate(first, p * mapping.pageBytes());
+    EXPECT_EQ(buddy.freeFrames(), 0u);
+    EXPECT_THROW(vm.translate(second, 0), FatalError);
+    EXPECT_TRUE(second.pageTable.empty());
+}
+
+TEST(VirtualMemoryTest, VaddrPastPhysicalMemoryIsFatal)
+{
+    Fixture f;
+    Task t(1, "t", f.mapping.totalBanks());
+    const std::uint64_t limit = f.mapping.totalFrames();
+    const std::uint64_t freeBefore = f.buddy.freeFrames();
+
+    // The last in-range page maps (and sizes the table at the limit).
+    f.vm.translate(t, (limit - 1) * f.mapping.pageBytes());
+    EXPECT_EQ(t.pageTable.size(), 1u);
+    const std::size_t slots = t.pageTable.capacity();
+    EXPECT_LE(slots, limit);
+
+    // The first vpn past it and a forged 2^62 vaddr both fail before
+    // allocating a frame or growing the table.
+    for (const Addr vaddr :
+         {limit * f.mapping.pageBytes(), Addr{1} << 62}) {
+        EXPECT_THROW(f.vm.translate(t, vaddr), FatalError);
+        EXPECT_EQ(t.pageTable.capacity(), slots);
+        EXPECT_EQ(t.pageTable.size(), 1u);
+        EXPECT_EQ(f.buddy.freeFrames(), freeBefore - 1);
+    }
+
+    // A fresh task's table does not grow either.
+    Task fresh(2, "fresh", f.mapping.totalBanks());
+    EXPECT_THROW(f.vm.translate(fresh, Addr{1} << 62), FatalError);
+    EXPECT_EQ(fresh.pageTable.capacity(), 0u);
+}
+
+TEST(VirtualMemoryTest, TrimFootprintUnmapsFromTheBound)
+{
+    Fixture f;
+    Task t(1, "t", f.mapping.totalBanks());
+    for (std::uint64_t p = 0; p < 20; ++p)
+        f.vm.translate(t, p * f.mapping.pageBytes());
+    const std::uint64_t freeBefore = f.buddy.freeFrames();
+
+    EXPECT_EQ(f.vm.trimFootprint(t, 12), 8u);
+    EXPECT_EQ(f.buddy.freeFrames(), freeBefore + 8);
+    EXPECT_EQ(t.pageTable.size(), 12u);
+    EXPECT_EQ(t.residentPages(), 12u);
+    std::uint64_t next = 0;
+    t.pageTable.forEach([&](std::uint64_t vpn, std::uint64_t) {
+        EXPECT_EQ(vpn, next++);
+    });
+    EXPECT_EQ(next, 12u);
 }
 
 } // namespace

@@ -46,7 +46,7 @@ class SummarizeTest(unittest.TestCase):
         self.results = load_results()
         self.summary = perf_ab.summarize(self.results)
 
-    def test_claimed_metric_quartiles_and_wins(self):
+    def test_lower_is_better_quartiles_and_wins(self):
         s = self.summary["paper-grid"]
         wall = s["metrics"]["wall_s"]
         self.assertEqual(s["pairs"], 10)
@@ -55,29 +55,72 @@ class SummarizeTest(unittest.TestCase):
         self.assertAlmostEqual(wall["parent"]["q3"], 5.2)
         self.assertAlmostEqual(wall["parent"]["iqr"], 0.325)
         self.assertAlmostEqual(wall["change"]["median"], 3.95)
-        self.assertEqual(s["wins"], 9)
-        self.assertAlmostEqual(s["speedup"], 5.0 / 3.95)
-        self.assertTrue(s["gain_clears"])
+        v = s["verdicts"]["wall_s"]
+        self.assertEqual(v["better"], "lower")
+        self.assertEqual(v["wins"], 9)
+        self.assertAlmostEqual(v["ratio"], 5.0 / 3.95)
+        self.assertTrue(v["gain_clears"])
         self.assertTrue(s["fingerprints_equal"])
         self.assertTrue(s["correct"])
         self.assertEqual(s["max_steal_ticks"], 7)
 
+    def test_higher_is_better_ratio_is_change_over_parent(self):
+        v = self.summary["paper-grid"]["verdicts"]["sim_mticks_per_s"]
+        self.assertEqual(v["better"], "higher")
+        self.assertEqual(v["wins"], 9)
+        self.assertAlmostEqual(v["ratio"], 12.0 / 10.0)
+        self.assertTrue(v["gain_clears"])
+
+    def test_every_end_to_end_metric_in_the_runs_is_judged(self):
+        self.assertEqual(list(self.summary["paper-grid"]["verdicts"]),
+                         ["wall_s", "sim_mticks_per_s", "sim_ipc"])
+        self.assertEqual(list(self.summary["churn-migrate"]["verdicts"]),
+                         ["wall_s", "peak_rss_mb", "sim_ipc"])
+        # Equal medians: no wins, ratio 1, no gain.
+        ipc = self.summary["paper-grid"]["verdicts"]["sim_ipc"]
+        self.assertEqual(ipc["wins"], 0)
+        self.assertAlmostEqual(ipc["ratio"], 1.0)
+        self.assertFalse(ipc["gain_clears"])
+
+    def test_zero_median_ratio(self):
+        pairs = [{"parent": {"metrics": {"m": 0.0}},
+                  "change": {"metrics": {"m": x}}} for x in (0.0, 0.0)]
+        zero = perf_ab.quartiles([0.0, 0.0])
+        self.assertEqual(
+            perf_ab.verdict(pairs, "m", "lower", zero, zero)["ratio"], 1.0)
+        self.assertIsNone(perf_ab.verdict(
+            pairs, "m", "lower", perf_ab.quartiles([1.0]), zero)["ratio"])
+
     def test_split_wins_and_differing_fingerprints(self):
         s = self.summary["churn-migrate"]
-        self.assertEqual(s["wins"], 1)
-        self.assertFalse(s["gain_clears"])
+        self.assertEqual(s["verdicts"]["wall_s"]["wins"], 1)
+        self.assertFalse(s["verdicts"]["wall_s"]["gain_clears"])
+        rss = s["verdicts"]["peak_rss_mb"]
+        self.assertEqual(rss["wins"], 2)
+        self.assertAlmostEqual(rss["ratio"], 27.95 / 18.15)
+        self.assertTrue(rss["gain_clears"])
         self.assertFalse(s["fingerprints_equal"])
 
     def test_report_names_the_verdicts(self):
         text = perf_ab.report(self.results, self.summary)
-        self.assertIn("wall_s wins 9/10 speedup 1.266x gain clears", text)
+        self.assertIn("wall_s (lower is better) wins 9/10 ratio 1.266x "
+                      "gain clears", text)
+        self.assertIn("sim_mticks_per_s (higher is better) wins 9/10 "
+                      "ratio 1.200x gain clears", text)
+        self.assertIn("sim_ipc (higher is better) wins 0/10 ratio 1.000x "
+                      "gain does not clear", text)
         self.assertIn("fingerprints equal (dcb12d4f089aaa08)", text)
         self.assertIn("fingerprints DIFFER", text)
 
     def test_trajectory_rows(self):
         rows = perf_ab.trajectory_rows("label", self.results, self.summary)
-        self.assertEqual([r["workload"] for r in rows],
-                         ["paper-grid", "churn-migrate"])
+        self.assertEqual([(r["workload"], r["metric"]) for r in rows],
+                         [("paper-grid", "wall_s"),
+                          ("paper-grid", "sim_mticks_per_s"),
+                          ("paper-grid", "sim_ipc"),
+                          ("churn-migrate", "wall_s"),
+                          ("churn-migrate", "peak_rss_mb"),
+                          ("churn-migrate", "sim_ipc")])
         row = rows[0]
         self.assertEqual(row["parent"], "e4d1b19")
         self.assertEqual(row["change"], "worktree@e4d1b19")
@@ -85,6 +128,9 @@ class SummarizeTest(unittest.TestCase):
         self.assertEqual(row["change_median"], 3.95)
         self.assertEqual(row["wins"], 9)
         self.assertEqual(row["speedup"], 1.266)
+        self.assertEqual(rows[1]["speedup"], 1.2)
+        self.assertEqual(rows[4]["parent_median"], 27.95)
+        self.assertEqual(rows[4]["change_median"], 18.15)
 
     def test_summarize_command_records_to_the_trajectory(self):
         with tempfile.TemporaryDirectory() as tmp:
@@ -101,7 +147,7 @@ class SummarizeTest(unittest.TestCase):
                 perf_ab.TRAJECTORY = saved
             with open(traj) as f:
                 rows = [json.loads(line) for line in f]
-        self.assertEqual(len(rows), 2)
+        self.assertEqual(len(rows), 6)
         self.assertEqual(rows[0]["label"], "fixture")
 
 

@@ -12,18 +12,21 @@ Usage (from anywhere; paths are resolved against the checkout):
       `benchmark/run.sh --workload W` per workload, alternating which
       side goes first.  Saves every run to DIR/ab-W-seedS[-trace].json,
       prints the summary, and with --record appends one row per
-      workload to tools/perf_trajectory.jsonl.
+      workload and end-to-end metric to tools/perf_trajectory.jsonl.
 
   tools/perf_ab.py summarize RESULTS [--record LABEL]
       Re-prints (and optionally records) the summary of a saved run.
 
 The summary gives, per workload and metric, the median and quartile
-spread of each side, plus, for the claimed metric (wall_s), how many
-pairs the change won and whether it clears the gain rule: at least
-nine in ten pairs won and a median gap larger than the parent's IQR.
-It also says whether every run on both sides produced the same
-simulation fingerprint.  Quartiles use statistics.quantiles(n=4), as
-benchmark/run.py does.
+spread of each side.  For every end-to-end metric BENCHMARK.json
+lists, it also gives how many pairs the change won (in the metric's
+`better` direction), the ratio of the medians (parent/change for a
+lower-is-better metric, change/parent for a higher-is-better one, so
+above 1 means the change is better), and whether the change clears
+the gain rule: at least nine in ten pairs won and a median gap larger
+than the parent's IQR.  It also says whether every run on both sides
+produced the same simulation fingerprint.  Quartiles use
+statistics.quantiles(n=4), as benchmark/run.py does.
 
 Python standard library only.
 """
@@ -38,7 +41,15 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TRAJECTORY = os.path.join(ROOT, "tools", "perf_trajectory.jsonl")
 WORKLOADS = ["paper-grid", "sharded-8c4ch", "serving-mmpp", "churn-migrate"]
-CLAIMED = "wall_s"
+
+
+def end_to_end_metrics():
+    """[(name, better)] of BENCHMARK.json's end-to-end metrics."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        return [(m["name"], m["better"]) for m in json.load(f)["end_to_end"]]
+
+
+END_TO_END = end_to_end_metrics()
 
 
 def log(*args):
@@ -133,6 +144,20 @@ def quartiles(xs):
     return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def verdict(pairs, name, better, parent, change):
+    """Wins, median ratio and gain rule of one end-to-end metric."""
+    sign = 1 if better == "lower" else -1
+    wins = sum(sign * (p["parent"]["metrics"][name]
+                       - p["change"]["metrics"][name]) > 0 for p in pairs)
+    gap = sign * (parent["median"] - change["median"])
+    num, den = ((parent["median"], change["median"]) if sign > 0
+                else (change["median"], parent["median"]))
+    return {"better": better, "wins": wins,
+            "ratio": num / den if den else (1.0 if num == den else None),
+            "gain_clears": wins * 10 >= 9 * len(pairs)
+            and gap > parent["iqr"]}
+
+
 def summarize(results):
     """Per-workload summary of a saved A/B (see the module doc)."""
     out = {}
@@ -143,18 +168,14 @@ def summarize(results):
             a = [p["parent"]["metrics"][name] for p in pairs]
             b = [p["change"]["metrics"][name] for p in pairs]
             metrics[name] = {"parent": quartiles(a), "change": quartiles(b)}
-        claimed = metrics[CLAIMED]
-        wins = sum(p["change"]["metrics"][CLAIMED]
-                   < p["parent"]["metrics"][CLAIMED] for p in pairs)
-        gap = claimed["parent"]["median"] - claimed["change"]["median"]
+        verdicts = {name: verdict(pairs, name, better,
+                                  metrics[name]["parent"],
+                                  metrics[name]["change"])
+                    for name, better in END_TO_END if name in metrics}
         prints = {p[side]["fingerprint"] for p in pairs
                   for side in ("parent", "change")}
         out[workload] = {
-            "pairs": len(pairs), "metrics": metrics, "wins": wins,
-            "speedup": claimed["parent"]["median"]
-            / claimed["change"]["median"],
-            "gain_clears": wins * 10 >= 9 * len(pairs)
-            and gap > claimed["parent"]["iqr"],
+            "pairs": len(pairs), "metrics": metrics, "verdicts": verdicts,
             "fingerprints_equal": len(prints) == 1,
             "fingerprint": sorted(prints)[0],
             "correct": all(p[side]["correct"] for p in pairs
@@ -163,6 +184,10 @@ def summarize(results):
                                    for side in ("parent", "change")),
         }
     return out
+
+
+def fmt_ratio(ratio):
+    return "n/a" if ratio is None else "%.3fx" % ratio
 
 
 def report(results, summary):
@@ -176,9 +201,12 @@ def report(results, summary):
             lines.append("  %-28s parent %.6g (iqr %.3g)  change %.6g "
                          "(iqr %.3g)" % (name, a["median"], a["iqr"],
                                          b["median"], b["iqr"]))
-        lines.append("  %s wins %d/%d speedup %.3fx gain %s" % (
-            CLAIMED, s["wins"], s["pairs"], s["speedup"],
-            "clears" if s["gain_clears"] else "does not clear"))
+        for name, v in s["verdicts"].items():
+            lines.append("  %s (%s is better) wins %d/%d ratio %s gain %s"
+                         % (name, v["better"], v["wins"], s["pairs"],
+                            fmt_ratio(v["ratio"]),
+                            "clears" if v["gain_clears"]
+                            else "does not clear"))
         lines.append("  fingerprints %s (%s); checks %s; max steal %d "
                      "ticks" % ("equal" if s["fingerprints_equal"]
                                 else "DIFFER", s["fingerprint"],
@@ -188,22 +216,28 @@ def report(results, summary):
 
 
 def trajectory_rows(label, results, summary):
+    """One row per workload and end-to-end metric.  The row's
+    `speedup` field is the metric's ratio (above 1 = the change is
+    better); older rows, all wall_s, used the same field."""
     rows = []
     for workload, s in summary.items():
-        c = s["metrics"][CLAIMED]
-        rows.append({
-            "label": label, "parent": results["parent"],
-            "change": results["change"], "workload": workload,
-            "seed": results["seed"], "pairs": s["pairs"],
-            "metric": CLAIMED,
-            "parent_median": round(c["parent"]["median"], 4),
-            "parent_iqr": round(c["parent"]["iqr"], 4),
-            "change_median": round(c["change"]["median"], 4),
-            "change_iqr": round(c["change"]["iqr"], 4),
-            "wins": s["wins"], "speedup": round(s["speedup"], 3),
-            "fingerprints_equal": s["fingerprints_equal"],
-            "host": results.get("host", ""),
-        })
+        for name, v in s["verdicts"].items():
+            c = s["metrics"][name]
+            rows.append({
+                "label": label, "parent": results["parent"],
+                "change": results["change"], "workload": workload,
+                "seed": results["seed"], "pairs": s["pairs"],
+                "metric": name,
+                "parent_median": round(c["parent"]["median"], 4),
+                "parent_iqr": round(c["parent"]["iqr"], 4),
+                "change_median": round(c["change"]["median"], 4),
+                "change_iqr": round(c["change"]["iqr"], 4),
+                "wins": v["wins"],
+                "speedup": None if v["ratio"] is None
+                else round(v["ratio"], 3),
+                "fingerprints_equal": s["fingerprints_equal"],
+                "host": results.get("host", ""),
+            })
     return rows
 
 
@@ -245,9 +279,11 @@ def cmd_run(args):
             for side in order:
                 pair[side] = run_once(sides[side], workload, args.seed,
                                       args.seconds, args.trace)
-                log("%s pair %d %s %s=%.4g" % (
-                    workload, i + 1, side, CLAIMED,
-                    pair[side]["metrics"][CLAIMED]))
+                log("%s pair %d %s %s" % (
+                    workload, i + 1, side, " ".join(
+                        "%s=%.4g" % (name, pair[side]["metrics"][name])
+                        for name, _ in END_TO_END
+                        if name in pair[side]["metrics"])))
             pairs.append(pair)
         results["workloads"][workload] = pairs
         out = os.path.join(workdir, "ab-%s-seed%d%s.json" % (
