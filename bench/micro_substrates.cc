@@ -1,7 +1,7 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the hot substrate operations:
- * the red-black tree, buddy allocator, event queue, cache, trace
+ * the CFS runqueue, buddy allocator, event queue, cache, trace
  * generation, and memory-controller throughput.  These guard against
  * performance regressions in the simulator itself.
  */
@@ -13,7 +13,6 @@
 #include "memctrl/memory_controller.hh"
 #include "os/buddy_allocator.hh"
 #include "os/cfs_runqueue.hh"
-#include "os/rbtree.hh"
 #include "os/scheduler.hh"
 #include "os/task.hh"
 #include "simcore/event_queue.hh"
@@ -25,34 +24,49 @@ using namespace refsched;
 namespace
 {
 
-void
-BM_RbTreeInsertErase(benchmark::State &state)
+/** @p n tasks with random vruntimes, all enqueued on @p rq. */
+std::vector<std::unique_ptr<os::Task>>
+fillRunQueue(os::CfsRunQueue &rq, std::int64_t n, Rng &rng)
 {
-    os::RbTree<std::uint64_t, int> tree;
-    Rng rng(1);
-    std::vector<decltype(tree)::Node *> nodes;
-    for (std::int64_t i = 0; i < state.range(0); ++i)
-        nodes.push_back(tree.insert(rng.next(), 0));
-    std::size_t i = 0;
-    for (auto _ : state) {
-        tree.erase(nodes[i]);
-        nodes[i] = tree.insert(rng.next(), 0);
-        i = (i + 1) % nodes.size();
+    std::vector<std::unique_ptr<os::Task>> tasks;
+    for (std::int64_t i = 0; i < n; ++i) {
+        tasks.push_back(std::make_unique<os::Task>(
+            static_cast<Pid>(i + 1), "t", 16));
+        tasks.back()->vruntime = rng.next();
+        rq.enqueue(tasks.back().get());
     }
+    return tasks;
 }
-BENCHMARK(BM_RbTreeInsertErase)->Arg(16)->Arg(1024);
 
 void
-BM_RbTreeLeftmost(benchmark::State &state)
+BM_CfsRunQueueChurn(benchmark::State &state)
 {
-    os::RbTree<std::uint64_t, int> tree;
+    // Dequeue a task and re-enqueue it at a random vruntime, round
+    // robin over a standing population of state.range(0) tasks.
+    os::CfsRunQueue rq;
     Rng rng(1);
-    for (int i = 0; i < 1024; ++i)
-        tree.insert(rng.next(), 0);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(tree.leftmost());
+    auto tasks = fillRunQueue(rq, state.range(0), rng);
+    std::size_t i = 0;
+    for (auto _ : state) {
+        os::Task *t = tasks[i].get();
+        rq.dequeue(t);
+        t->vruntime = rng.next();
+        rq.enqueue(t);
+        i = (i + 1) % tasks.size();
+    }
 }
-BENCHMARK(BM_RbTreeLeftmost);
+BENCHMARK(BM_CfsRunQueueChurn)->Arg(16)->Arg(1024);
+
+void
+BM_CfsRunQueueFirst(benchmark::State &state)
+{
+    os::CfsRunQueue rq;
+    Rng rng(1);
+    auto tasks = fillRunQueue(rq, 1024, rng);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(rq.first());
+}
+BENCHMARK(BM_CfsRunQueueFirst);
 
 void
 BM_BuddyAllocFreePage(benchmark::State &state)

@@ -1,45 +1,39 @@
 /**
  * @file
- * Simulation-performance smoke bench: the perf trajectory's data
- * source.
+ * Simulation-work smoke bench: the event-count gate.
  *
- * Runs a fixed three-config set -- all-bank refresh at 32 Gb (the
- * refresh-heaviest baseline), per-bank round-robin, and the paper's
- * co-design -- and reports, per config:
+ * Runs a fixed config set -- all-bank refresh at 32 Gb (the
+ * refresh-heaviest baseline), per-bank round-robin, the paper's
+ * co-design, and co-design on wider machines, with serving and with
+ * telemetry -- and reports, per config:
  *
  *   simMs            simulated milliseconds covered by the run
- *   wallMs           host wall-clock for System::run
  *   events           kernel events executed across every lane
  *   events/quantum   executed events per simulated scheduling quantum
- *   Mticks/s         simulated ticks per wall second, in millions
  *
  * Tables are archived through the standard --json flag; the checked-in
- * archive is tools/perf_baseline.json (tools/perf_regress.sh --update
- * re-records it).  At the default parameters a second
- * table compares against the seed-controller reference measured
- * before the wake-precise optimization (PR 3), tracking the event
- * and wall-clock trajectory.
+ * archive is tools/perf_baseline.json, re-recorded with
  *
- * Regression mode (used by tools/perf_regress.sh):
+ *   perf_smoke --json tools/perf_baseline.json
  *
- *   perf_smoke --check BASELINE.json [--wall-tol PCT] [--events-only]
+ * when a change intentionally moves an event count.  Regression mode
  *
- * re-runs the set and compares against a previously archived
- * table such as tools/perf_baseline.json: events and events/quantum
- * must match exactly
- * (the simulation is deterministic, sharded or not), wall-clock may
- * regress by at most PCT percent and Mticks/s may drop by the same
- * factor (default 20; faster is never a failure; --events-only
- * skips both host-speed checks for heterogeneous machines).  Exits
- * non-zero on any regression.  Every row runs on one thread.
+ *   perf_smoke --check BASELINE.json
+ *
+ * re-runs the set and compares against a previously archived table:
+ * events and events/quantum must match exactly (the simulation is
+ * deterministic, sharded or not).  Exits non-zero on any mismatch.
+ * Every row runs on one thread.  Host speed is not judged here:
+ * tools/perf_ab.py compares a change's wall clock against its parent
+ * in interleaved pairs on the same host.
  */
 
-#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
 
 #include "bench_util.hh"
+#include "obs/json.hh"
 
 using namespace refsched;
 using namespace refsched::bench;
@@ -91,33 +85,13 @@ constexpr SmokeConfig kConfigs[] = {
     {"codesign-32gb-telem", Policy::CoDesign, 1, 0, 2, nullptr, true},
 };
 
-/**
- * Seed-controller reference (commit a545fe5, pre wake-precise
- * scheduling), measured at the default parameters: WL-1, 32 Gb,
- * --scale 128 --warmup 8 --measure 16, single-threaded, Release.
- * Events are exact (deterministic); wall-clock is indicative of the
- * reference machine and only used for the trajectory table.
- */
-struct SeedRef
-{
-    double eventsPerQuantum;
-    double wallMs;
-};
-constexpr SeedRef kSeedRef[] = {
-    {27608.2, 124.8},  // allbank-32gb
-    {27833.8, 148.3},  // perbank-32gb
-    {27747.1, 164.8},  // codesign-32gb
-};
-
 struct SmokeResult
 {
     std::string name;
     std::string policy;
     double simMs = 0.0;
-    double wallMs = 0.0;
     std::uint64_t events = 0;
     double eventsPerQuantum = 0.0;
-    double mticksPerSec = 0.0;
 };
 
 SmokeResult
@@ -133,113 +107,85 @@ runConfig(const SmokeConfig &sc, const BenchOptions &opts)
     cfg.telemetry.enabled = sc.telemetry;
 
     core::System sys(cfg);
-    const auto t0 = std::chrono::steady_clock::now();
     sys.run(opts.warmupQuanta, opts.measureQuanta);
-    const auto t1 = std::chrono::steady_clock::now();
 
     SmokeResult r;
     r.name = sc.name;
     r.policy = core::toString(sc.policy);
-    r.wallMs = std::chrono::duration<double, std::milli>(t1 - t0)
-        .count();
     r.simMs = static_cast<double>(sys.eventQueue().now())
         / static_cast<double>(kPsPerMs);
     r.events = sys.executedEvents();
     const int quanta = opts.warmupQuanta + opts.measureQuanta;
     r.eventsPerQuantum =
         static_cast<double>(r.events) / static_cast<double>(quanta);
-    r.mticksPerSec = r.wallMs > 0.0
-        ? static_cast<double>(sys.eventQueue().now())
-            / (r.wallMs * 1e3)  // ticks/ms -> Mticks/s
-        : 0.0;
     return r;
 }
 
-// ---------------------------------------------------------------
-// Baseline comparison (--check): parse the archive written by a
-// previous --json run (tools/perf_baseline.json) and diff events /
-// wall-clock.
-// ---------------------------------------------------------------
+/** Cell @p header of an archived row, located by the table's headers
+ *  (fatal when the archive lacks the column or the row is short). */
+const std::string &
+cell(const obs::JsonValue &table, const obs::JsonValue &row,
+     const std::string &header, const std::string &path)
+{
+    const auto &headers = table.find("headers")->array;
+    for (std::size_t i = 0; i < headers.size(); ++i) {
+        if (headers[i].string == header && i < row.array.size()
+            && row.array[i].isString())
+            return row.array[i].string;
+    }
+    fatal(path, ": perf_smoke row lacks a \"", header, "\" cell");
+}
 
-/** Row cells of the "perf_smoke" table in an archived JSON file.
- *  The archive format is ours (bench_util JsonArchive): every cell
- *  is a quoted string, rows are arrays of cells. */
-std::vector<std::vector<std::string>>
-readBaselineRows(const std::string &path)
+/** The "perf_smoke" table of an archive written by a previous --json
+ *  run (bench_util JsonArchive). */
+obs::JsonValue
+readBaseline(const std::string &path)
 {
     std::ifstream is(path);
     if (!is)
         fatal("cannot read baseline file: ", path);
     std::stringstream ss;
     ss << is.rdbuf();
-    const std::string text = ss.str();
-
-    const auto label = text.find("\"label\": \"perf_smoke\"");
-    if (label == std::string::npos)
-        fatal(path, ": no perf_smoke table in archive");
-    const auto rowsKey = text.find("\"rows\": [", label);
-    if (rowsKey == std::string::npos)
-        fatal(path, ": malformed archive (no rows)");
-
-    std::vector<std::vector<std::string>> rows;
-    std::size_t i = rowsKey + 9;
-    int depth = 1;  // inside the rows [...] array
-    std::vector<std::string> cur;
-    while (i < text.size() && depth > 0) {
-        const char ch = text[i];
-        if (ch == '[') {
-            ++depth;
-            cur.clear();
-            ++i;
-        } else if (ch == ']') {
-            --depth;
-            if (depth == 1 && !cur.empty())
-                rows.push_back(cur);
-            ++i;
-        } else if (ch == '"') {
-            std::string cell;
-            ++i;
-            while (i < text.size() && text[i] != '"') {
-                if (text[i] == '\\' && i + 1 < text.size())
-                    ++i;
-                cell += text[i++];
-            }
-            ++i;  // closing quote
-            cur.push_back(cell);
-        } else {
-            ++i;
+    const obs::JsonValue doc = obs::parseJson(ss.str());
+    const obs::JsonValue *tables = doc.find("tables");
+    if (tables && tables->isArray()) {
+        for (const auto &t : tables->array) {
+            const auto *label = t.find("label");
+            const auto *headers = t.find("headers");
+            const auto *rows = t.find("rows");
+            if (label && label->string == "perf_smoke" && headers
+                && headers->isArray() && rows && rows->isArray())
+                return t;
         }
     }
-    return rows;
+    fatal(path, ": no perf_smoke table in archive");
 }
 
 int
 checkAgainstBaseline(const std::vector<SmokeResult> &now,
-                     const std::string &path, double wallTolPct,
-                     bool eventsOnly)
+                     const std::string &path)
 {
-    const auto rows = readBaselineRows(path);
+    const obs::JsonValue table = readBaseline(path);
     bool ok = true;
 
     for (const auto &r : now) {
-        const std::vector<std::string> *base = nullptr;
-        for (const auto &row : rows) {
-            if (!row.empty() && row[0] == r.name) {
+        const obs::JsonValue *base = nullptr;
+        for (const auto &row : table.find("rows")->array) {
+            if (row.isArray() && cell(table, row, "config", path) == r.name) {
                 base = &row;
                 break;
             }
         }
-        if (!base || base->size() < 7) {
+        if (!base) {
             std::cerr << r.name << ": missing from baseline " << path
                       << "\n";
             ok = false;
             continue;
         }
-        const std::uint64_t baseEvents =
-            std::strtoull((*base)[4].c_str(), nullptr, 10);
-        const double baseWall = std::atof((*base)[3].c_str());
-        const std::string &baseEpq = (*base)[5];
-        const double baseMticks = std::atof((*base)[6].c_str());
+        const std::uint64_t baseEvents = std::strtoull(
+            cell(table, *base, "events", path).c_str(), nullptr, 10);
+        const std::string &baseEpq =
+            cell(table, *base, "events/quantum", path);
 
         if (r.events != baseEvents) {
             std::cerr << r.name << ": events REGRESSED: " << r.events
@@ -261,35 +207,6 @@ checkAgainstBaseline(const std::vector<SmokeResult> &now,
                       << " vs baseline " << baseEpq << "\n";
             ok = false;
         }
-
-        if (eventsOnly)
-            continue;
-        const double limit = baseWall * (1.0 + wallTolPct / 100.0);
-        if (r.wallMs > limit) {
-            std::cerr << r.name << ": wall-clock REGRESSED: "
-                      << core::fmt(r.wallMs, 1) << " ms vs baseline "
-                      << core::fmt(baseWall, 1) << " ms (+"
-                      << core::fmt(wallTolPct, 0)
-                      << "% tolerance exceeded)\n";
-            ok = false;
-        } else {
-            std::cout << r.name << ": wall-clock ok ("
-                      << core::fmt(r.wallMs, 1) << " ms vs "
-                      << core::fmt(baseWall, 1) << " ms baseline)\n";
-        }
-        const double floor =
-            baseMticks / (1.0 + wallTolPct / 100.0);
-        if (baseMticks > 0.0 && r.mticksPerSec < floor) {
-            std::cerr << r.name << ": Mticks/s REGRESSED: "
-                      << core::fmt(r.mticksPerSec, 2)
-                      << " vs baseline " << core::fmt(baseMticks, 2)
-                      << " (floor " << core::fmt(floor, 2) << ")\n";
-            ok = false;
-        } else {
-            std::cout << r.name << ": Mticks/s ok ("
-                      << core::fmt(r.mticksPerSec, 2) << " vs "
-                      << core::fmt(baseMticks, 2) << " baseline)\n";
-        }
     }
     return ok ? 0 : 1;
 }
@@ -299,23 +216,16 @@ checkAgainstBaseline(const std::vector<SmokeResult> &now,
 int
 main(int argc, char **argv)
 {
-    // Strip the regression-mode flags before the shared parser sees
+    // Strip the regression-mode flag before the shared parser sees
     // the command line.
     std::string checkPath;
-    double wallTolPct = 20.0;
-    bool eventsOnly = false;
     std::vector<char *> rest;
     for (int i = 0; i < argc; ++i) {
         const std::string a = argv[i];
-        if (i > 0 && a == "--check" && i + 1 < argc) {
+        if (i > 0 && a == "--check" && i + 1 < argc)
             checkPath = argv[++i];
-        } else if (i > 0 && a == "--wall-tol" && i + 1 < argc) {
-            wallTolPct = std::atof(argv[++i]);
-        } else if (i > 0 && a == "--events-only") {
-            eventsOnly = true;
-        } else {
+        else
             rest.push_back(argv[i]);
-        }
     }
     const auto opts =
         parseArgs(static_cast<int>(rest.size()), rest.data());
@@ -324,50 +234,24 @@ main(int argc, char **argv)
     for (const auto &sc : kConfigs)
         results.push_back(runConfig(sc, opts));
 
-    core::Table table({"config", "policy", "simMs", "wallMs",
-                       "events", "events/quantum", "Mticks/s"});
+    core::Table table(
+        {"config", "policy", "simMs", "events", "events/quantum"});
     for (const auto &r : results) {
         table.addRow({r.name, r.policy, core::fmt(r.simMs, 2),
-                      core::fmt(r.wallMs, 2),
                       std::to_string(r.events),
-                      core::fmt(r.eventsPerQuantum, 1),
-                      core::fmt(r.mticksPerSec, 2)});
+                      core::fmt(r.eventsPerQuantum, 1)});
     }
-    std::cout << "Simulation performance smoke (WL-1, 32 Gb, scale "
+    std::cout << "Simulation work smoke (WL-1, 32 Gb, scale "
               << opts.timeScale << ")\n\n";
     emit(opts, table, "perf_smoke");
     std::cout << "\n";
 
-    // Trajectory vs the seed controller, only meaningful at the
-    // parameters the reference was measured with.
-    const bool defaults = opts.timeScale == 128
-        && opts.warmupQuanta == 8 && opts.measureQuanta == 16
-        && kSeedRef[0].eventsPerQuantum > 0.0;
-    if (defaults) {
-        core::Table traj({"config", "seed events/q", "events/q",
-                          "events reduction", "seed wallMs", "wallMs",
-                          "wall speedup"});
-        const std::size_t refs =
-            sizeof(kSeedRef) / sizeof(kSeedRef[0]);
-        for (std::size_t i = 0; i < results.size() && i < refs; ++i) {
-            const auto &r = results[i];
-            const auto &s = kSeedRef[i];
-            traj.addRow(
-                {r.name, core::fmt(s.eventsPerQuantum, 1),
-                 core::fmt(r.eventsPerQuantum, 1),
-                 core::fmt(s.eventsPerQuantum / r.eventsPerQuantum, 2)
-                     + "x",
-                 core::fmt(s.wallMs, 1), core::fmt(r.wallMs, 1),
-                 core::fmt(s.wallMs / r.wallMs, 2) + "x"});
-        }
-        std::cout << "Trajectory vs seed controller (pre"
-                     " wake-precise scheduling)\n\n";
-        emit(opts, traj, "perf_vs_seed");
-        std::cout << "\n";
+    if (checkPath.empty())
+        return 0;
+    try {
+        return checkAgainstBaseline(results, checkPath);
+    } catch (const FatalError &e) {
+        std::cerr << "fatal: " << e.what() << "\n";
+        return 1;
     }
-
-    if (!checkPath.empty())
-        return checkAgainstBaseline(results, checkPath, wallTolPct,
-                                    eventsOnly);
-    return 0;
 }

@@ -384,8 +384,7 @@ System::buildTasks()
         wanted += static_cast<std::uint64_t>(
             static_cast<double>(fp) * std::max(peak, 1.0));
     }
-    const std::uint64_t budget =
-        mc_->mapping().totalFrames() * pageBytes * 9 / 10;
+    const std::uint64_t budget = footprintBudgetBytes();
     if (wanted > budget) {
         const double scale = static_cast<double>(budget)
             / static_cast<double>(wanted);
@@ -426,6 +425,13 @@ System::buildTasks()
         sources_.push_back(std::move(src));
         tasks_.push_back(std::move(task));
     }
+}
+
+std::uint64_t
+System::footprintBudgetBytes() const
+{
+    return mc_->mapping().totalFrames() * mc_->mapping().pageBytes()
+        * 9 / 10;
 }
 
 void
@@ -531,6 +537,20 @@ System::spawnScenarioTask(const workload::ScenarioEvent &ev, Pid pid)
                                     * ev.footprintScale);
     fp = std::max<std::uint64_t>(fp, prof.hotsetBytes);
     fp = divCeil(fp, pageBytes) * pageBytes;
+    // The same capacity guard as buildTasks, per tenant: its phase
+    // peak must fit physical memory, or its vpns would outrun the
+    // address-space limit (VirtualMemory::translate).
+    const double peakScale = std::max(ev.phases.maxFootprintScale(), 1.0);
+    const double peak = static_cast<double>(fp) * peakScale;
+    const std::uint64_t budget = footprintBudgetBytes();
+    if (peak > static_cast<double>(budget)) {
+        const double scale = static_cast<double>(budget) / peak;
+        warn("spawned ", ev.benchmark, " (pid ", pid,
+             ") exceeds physical memory at its peak; scaling by ",
+             scale);
+        fp = static_cast<std::uint64_t>(static_cast<double>(fp) * scale);
+        fp = std::max<std::uint64_t>(fp / pageBytes, 1) * pageBytes;
+    }
 
     auto task = std::make_unique<os::Task>(pid, ev.benchmark,
                                            cfg_.totalBanks());

@@ -165,6 +165,11 @@ class System
   private:
     void enableProbeHub();
     void buildTasks();
+    /** Bytes of footprint, phase peaks included, that tasks may
+     *  reserve: 9/10 of physical memory.  buildTasks scales initial
+     *  footprints to fit it together; a scenario spawn is capped to
+     *  it alone. */
+    std::uint64_t footprintBudgetBytes() const;
     void assignBankMasks();
     /** Re-binpack possible_banks_vector over @p live (list order
      *  decides partition groups -- the consolidation semantics). */

@@ -11,8 +11,10 @@ CfsRunQueue::enqueue(Task *task)
     REFSCHED_ASSERT(task != nullptr, "enqueue null task");
     REFSCHED_ASSERT(!contains(task), "task already enqueued: pid ",
                     task->pid());
-    auto *node =
-        tree_.insert(VruntimeKey{task->vruntime, task->pid()}, task);
+    const auto [node, inserted] =
+        tree_.emplace(VruntimeKey{task->vruntime, task->pid()}, task);
+    REFSCHED_ASSERT(inserted, "duplicate runqueue key: pid ",
+                    task->pid());
     nodes_.emplace(task, node);
 }
 
@@ -35,17 +37,15 @@ CfsRunQueue::contains(const Task *task) const
 Task *
 CfsRunQueue::first() const
 {
-    auto *node = tree_.leftmost();
-    return node ? node->value : nullptr;
+    return tree_.empty() ? nullptr : tree_.begin()->second;
 }
 
 void
 CfsRunQueue::forEachInOrder(
     const std::function<bool(Task *)> &visit) const
 {
-    for (auto *node = tree_.leftmost(); node != nullptr;
-         node = tree_.next(node)) {
-        if (!visit(node->value))
+    for (const auto &[key, task] : tree_) {
+        if (!visit(task))
             return;
     }
 }
@@ -53,10 +53,9 @@ CfsRunQueue::forEachInOrder(
 std::optional<Tick>
 CfsRunQueue::minVruntime() const
 {
-    auto *node = tree_.leftmost();
-    if (!node)
+    if (tree_.empty())
         return std::nullopt;
-    return node->key.vruntime;
+    return tree_.begin()->first.vruntime;
 }
 
 } // namespace refsched::os

@@ -1,9 +1,10 @@
 /**
  * @file
  * CFS-style per-CPU runqueue: tasks ordered by (vruntime, pid) in a
- * red-black tree, exactly like the Linux scheduler's cfs_rq (paper
- * section 2.4).  The leftmost node is the conventional pick; the
- * refresh-aware scheduler walks in-order from the left (Algorithm 3).
+ * red-black tree (std::map), exactly like the Linux scheduler's
+ * cfs_rq (paper section 2.4).  The leftmost node is the conventional
+ * pick; the refresh-aware scheduler walks in-order from the left
+ * (Algorithm 3).
  */
 
 #ifndef REFSCHED_OS_CFS_RUNQUEUE_HH
@@ -11,17 +12,17 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <optional>
 #include <unordered_map>
 
-#include "os/rbtree.hh"
 #include "os/task.hh"
 #include "simcore/types.hh"
 
 namespace refsched::os
 {
 
-/** Tree key: vruntime ordered, pid tie-broken for determinism. */
+/** Tree key: vruntime ordered, pid tie-broken, so keys are unique. */
 struct VruntimeKey
 {
     Tick vruntime = 0;
@@ -39,8 +40,6 @@ struct VruntimeKey
 class CfsRunQueue
 {
   public:
-    using Tree = RbTree<VruntimeKey, Task *>;
-
     CfsRunQueue() = default;
 
     /** Add a runnable task (keyed by its current vruntime). */
@@ -74,15 +73,12 @@ class CfsRunQueue
     std::size_t size() const { return tree_.size(); }
     bool empty() const { return tree_.empty(); }
 
-    /** Red-black invariants of the underlying tree (for tests). */
-    bool validate(std::string *why = nullptr) const
-    {
-        return tree_.validate(why);
-    }
-
   private:
+    using Tree = std::map<VruntimeKey, Task *>;
+
     Tree tree_;
-    std::unordered_map<const Task *, Tree::Node *> nodes_;
+    /** Each enqueued task's tree node, so dequeue erases in O(1). */
+    std::unordered_map<const Task *, Tree::iterator> nodes_;
 };
 
 } // namespace refsched::os

@@ -154,6 +154,30 @@ TEST(ScenarioIntegrationTest, LaterSweepReusesMigrationJobSlots)
               dir->pagesMigrated.value());
 }
 
+TEST(ScenarioIntegrationTest, SpawnPeakIsCappedToPhysicalMemory)
+{
+    // A spawn whose footprint (fp=16) times its phase peak (x16) is
+    // far past physical memory on a small machine: WL-1 at 8 Gb
+    // and timeScale 1024 has 2048 frames.  The capacity guard scales
+    // the tenant down, so it runs instead of touching a vpn past the
+    // address-space limit.
+    SystemConfig cfg = makeConfig("WL-1", Policy::CoDesign,
+                                  dram::DensityGb::d8,
+                                  milliseconds(64.0), 2, 4, 1024);
+    cfg.scenario = workload::ScenarioScript::parse(
+        "ev=1:spawn:mcf:fp=16:phases=mcf@100000@16\n");
+
+    System sys(cfg);
+    sys.run(/*warmupQuanta=*/0, /*measureQuanta=*/24);
+    const os::ScenarioDirector *dir = sys.scenarioDirector();
+    ASSERT_NE(dir, nullptr);
+    EXPECT_EQ(dir->spawns.value(), 1.0);
+    const auto &live = dir->liveTasks();
+    ASSERT_EQ(live.size(), 9u);
+    EXPECT_EQ(live.back()->name(), "mcf");
+    EXPECT_GT(live.back()->pageTable.size(), 0u);
+}
+
 /** Run the fixture config under @p jobs workers, tracing each cell. */
 std::vector<Metrics>
 runScenarioGrid(int jobs, std::vector<validate::TraceRecorder> &recs)

@@ -84,11 +84,6 @@ TEST(CfsRunQueuePropertyTest, RandomChurnMatchesSortedVector)
         ASSERT_EQ(walked.size(), expect);
         for (std::size_t i = 0; i < walked.size(); ++i)
             ASSERT_EQ(walked[i], ref[i]) << "walk position " << i;
-
-        if (op % 256 == 0) {
-            std::string why;
-            ASSERT_TRUE(rq.validate(&why)) << why;
-        }
     }
 }
 

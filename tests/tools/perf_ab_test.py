@@ -10,7 +10,7 @@ import os
 import sys
 import tempfile
 import unittest
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DATA = os.path.join(HERE, "data")
@@ -149,6 +149,35 @@ class SummarizeTest(unittest.TestCase):
                 rows = [json.loads(line) for line in f]
         self.assertEqual(len(rows), 6)
         self.assertEqual(rows[0]["label"], "fixture")
+
+
+class BenchmarkSpecTest(unittest.TestCase):
+    def test_workloads_and_metrics_come_from_benchmark_json(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "BENCHMARK.json")
+            with open(path, "w") as f:
+                json.dump({"workloads": [{"name": "b", "why": ""},
+                                         {"name": "a", "why": ""}],
+                           "end_to_end": [{"name": "wall_s",
+                                           "better": "lower"}]}, f)
+            self.assertEqual(perf_ab.read_benchmark(path),
+                             (["b", "a"], [("wall_s", "lower")]))
+
+    def test_module_lists_the_checked_in_workloads(self):
+        with open(os.path.join(perf_ab.ROOT, "BENCHMARK.json")) as f:
+            spec = json.load(f)
+        self.assertEqual(perf_ab.WORKLOADS,
+                         [w["name"] for w in spec["workloads"]])
+        self.assertEqual([name for name, _ in perf_ab.END_TO_END],
+                         [m["name"] for m in spec["end_to_end"]])
+
+    def test_run_rejects_a_workload_benchmark_json_lacks(self):
+        sys.argv = ["perf_ab.py", "run", "--parent", "HEAD",
+                    "--workload", "no-such-workload"]
+        with redirect_stderr(io.StringIO()), \
+                self.assertRaises(SystemExit) as ctx:
+            perf_ab.main()
+        self.assertEqual(ctx.exception.code, 2)
 
 
 class TrajectoryFileTest(unittest.TestCase):

@@ -9,8 +9,9 @@ Usage (from anywhere; paths are resolved against the checkout):
       Extracts REF with `git archive` into DIR (build-ab/ by default),
       builds the benchmark program in both that tree and this
       checkout (uncommitted edits included), then runs N pairs of
-      `benchmark/run.sh --workload W` per workload, alternating which
-      side goes first.  Saves every run to DIR/ab-W-seedS[-trace].json,
+      `benchmark/run.sh --workload W` per workload (by default every
+      workload BENCHMARK.json lists), alternating which side goes
+      first.  Saves every run to DIR/ab-W-seedS[-trace].json,
       prints the summary, and with --record appends one row per
       workload and end-to-end metric to tools/perf_trajectory.jsonl.
 
@@ -40,16 +41,18 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TRAJECTORY = os.path.join(ROOT, "tools", "perf_trajectory.jsonl")
-WORKLOADS = ["paper-grid", "sharded-8c4ch", "serving-mmpp", "churn-migrate"]
 
 
-def end_to_end_metrics():
-    """[(name, better)] of BENCHMARK.json's end-to-end metrics."""
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        return [(m["name"], m["better"]) for m in json.load(f)["end_to_end"]]
+def read_benchmark(path=os.path.join(ROOT, "BENCHMARK.json")):
+    """BENCHMARK.json's workload names and its end-to-end metrics as
+    [(name, better)], both in file order."""
+    with open(path) as f:
+        spec = json.load(f)
+    return ([w["name"] for w in spec["workloads"]],
+            [(m["name"], m["better"]) for m in spec["end_to_end"]])
 
 
-END_TO_END = end_to_end_metrics()
+WORKLOADS, END_TO_END = read_benchmark()
 
 
 def log(*args):
@@ -316,7 +319,8 @@ def main():
     r.add_argument("--parent", required=True,
                    help="git ref of the baseline side")
     r.add_argument("--workload", action="append", choices=WORKLOADS,
-                   help="repeatable; all four by default")
+                   help="repeatable; every BENCHMARK.json workload by "
+                   "default")
     r.add_argument("--pairs", type=int, default=10)
     r.add_argument("--seed", type=int, default=1)
     r.add_argument("--seconds", type=int, default=15)
