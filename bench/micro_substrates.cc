@@ -124,6 +124,20 @@ BM_CacheAccess(benchmark::State &state)
 BENCHMARK(BM_CacheAccess);
 
 void
+BM_CacheL1Hit(benchmark::State &state)
+{
+    // The Table 1 L1 (32 KB, 4-way) under a time-scaled 4 KB hot
+    // set: after the first 64 misses every access hits.
+    cache::Cache c(cache::CacheParams{32 * kKiB, 4, 64, 2});
+    Addr a = 0;
+    for (auto _ : state) {
+        a = (a + 7 * 64) & (4 * kKiB - 1);
+        benchmark::DoNotOptimize(c.access(a, (a & 64) != 0));
+    }
+}
+BENCHMARK(BM_CacheL1Hit);
+
+void
 BM_GeometricGap(benchmark::State &state)
 {
     // One instruction gap as the trace generator draws it, at a

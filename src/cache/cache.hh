@@ -7,6 +7,12 @@
  * values are never simulated.  Misses allocate immediately
  * (write-validate for stores); the caller charges latency and issues
  * DRAM traffic.
+ *
+ * A line takes 6 bytes of state: a 32-bit key (tag + 1, 0 for an
+ * invalid way), a one-byte recency rank and a dirty byte.  The ranks
+ * of a set are a permutation of [0, associativity): a touch moves the
+ * way to rank 0 and ages every way that was more recent by one, so
+ * the highest rank is the least recently used way.
  */
 
 #ifndef REFSCHED_CACHE_CACHE_HH
@@ -53,13 +59,41 @@ struct CacheAccessOutcome
 class Cache
 {
   public:
-    explicit Cache(const CacheParams &params);
+    /** Physical span a cache covers when the caller names none
+     *  (256 GiB); System passes its DRAM capacity instead. */
+    static constexpr Addr kDefaultPhysBytes = Addr{1} << 38;
+
+    /**
+     * @param physBytes physical addresses the cache will see lie in
+     *        [0, physBytes); fatal() when a tag of that range does not
+     *        fit the 32-bit key.
+     */
+    explicit Cache(const CacheParams &params,
+                   Addr physBytes = kDefaultPhysBytes);
 
     /**
      * Look up @p paddr; on miss, allocate the line (evicting LRU).
      * @p isWrite marks the line dirty.
      */
     CacheAccessOutcome access(Addr paddr, bool isWrite);
+
+    /**
+     * access() for a line that is already cached: on a hit, does
+     * exactly what access() does and returns true; on a miss,
+     * returns false and changes nothing (no counter, no LRU state).
+     */
+    bool
+    accessHit(Addr paddr, bool isWrite)
+    {
+        const std::size_t base = setBase(paddr);
+        const std::size_t slot = findIn(base, keyOf(paddr));
+        if (slot == kNoSlot)
+            return false;
+        ++accesses_;
+        touch(base, slot);
+        dirty_[slot] |= isWrite;
+        return true;
+    }
 
     /** Probe without allocating or updating LRU. */
     bool contains(Addr paddr) const;
@@ -96,21 +130,62 @@ class Cache
     }
 
   private:
-    std::uint64_t setIndex(Addr paddr) const;
-    Addr tagOf(Addr paddr) const;
-    Addr lineAddr(Addr tag, std::uint64_t set) const;
+    /** Key of @p paddr's line: tag + 1 (0 marks an invalid way). */
+    std::uint32_t
+    keyOf(Addr paddr) const
+    {
+        return static_cast<std::uint32_t>(
+            (paddr >> (lineShift_ + setBits_)) + 1);
+    }
 
     /** First slot of @p paddr's set in the parallel arrays. */
-    std::size_t setBase(Addr paddr) const;
+    std::size_t
+    setBase(Addr paddr) const
+    {
+        return static_cast<std::size_t>((paddr >> lineShift_)
+                                         & (numSets_ - 1))
+            * assoc_;
+    }
 
     /** Slot holding key @p key (never 0) in the set starting at
      *  @p base, or kNoSlot. */
-    std::size_t findIn(std::size_t base, Addr key) const;
+    std::size_t
+    findIn(std::size_t base, std::uint32_t key) const
+    {
+        // Keys are unique within a set and the invalid key 0 is never
+        // looked up, so at most one way matches: scan them all and
+        // keep it with a select rather than exiting at a random way.
+        const std::uint32_t *k = keys_.data() + base;
+        std::size_t slot = kNoSlot;
+        for (std::size_t w = 0; w < assoc_; ++w)
+            slot = k[w] == key ? base + w : slot;
+        return slot;
+    }
+
+    /** Make @p slot the most recently used way of its set. */
+    void
+    touch(std::size_t base, std::size_t slot)
+    {
+        const std::uint8_t old = rank_[slot];
+        if (old == 0)
+            return;  // already the most recent way
+        std::uint8_t *r = rank_.data() + base;
+        for (std::size_t w = 0; w < assoc_; ++w)
+            r[w] = static_cast<std::uint8_t>(r[w] + (r[w] < old));
+        rank_[slot] = 0;
+    }
+
+    /** Line-aligned address of @p key's line in set @p set. */
+    Addr lineAddr(std::uint32_t key, std::uint64_t set) const;
 
     /** Allocate @p key into the set starting at @p base: the first
-     *  invalid way, else the least recently used one (ties to the
-     *  lowest way).  Reports the evicted victim. */
-    CacheAccessOutcome fill(std::size_t base, Addr key, bool dirty);
+     *  invalid way, else the least recently used one.  Reports the
+     *  evicted victim. */
+    CacheAccessOutcome fill(std::size_t base, std::uint32_t key,
+                            bool dirty);
+
+    /** Every set's ranks to 0, 1, ..., assoc - 1 by way. */
+    void resetRanks();
 
     static constexpr std::size_t kNoSlot = ~std::size_t{0};
 
@@ -122,10 +197,9 @@ class Cache
 
     // Set-major structure-of-arrays tag store (numSets * assoc
     // slots): the way scan reads only the dense keys_ row.
-    std::vector<Addr> keys_;  ///< tag + 1; 0 marks an invalid way
-    std::vector<std::uint64_t> lastUse_;
+    std::vector<std::uint32_t> keys_;  ///< tag + 1; 0 = invalid way
+    std::vector<std::uint8_t> rank_;   ///< 0 = most recently used
     std::vector<std::uint8_t> dirty_;
-    std::uint64_t useCounter_ = 0;
 
     std::uint64_t accesses_ = 0;
     std::uint64_t misses_ = 0;

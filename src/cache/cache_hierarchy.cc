@@ -6,8 +6,9 @@ namespace refsched::cache
 {
 
 CacheHierarchy::CacheHierarchy(int numCores,
-                               const HierarchyParams &params)
-    : params_(params), l2_(params.l2)
+                               const HierarchyParams &params,
+                               Addr physBytes)
+    : params_(params), l2_(params.l2, physBytes)
 {
     if (numCores < 1)
         fatal("need at least one core");
@@ -15,7 +16,7 @@ CacheHierarchy::CacheHierarchy(int numCores,
         fatal("L1/L2 line sizes must match");
     l1s_.reserve(static_cast<std::size_t>(numCores));
     for (int i = 0; i < numCores; ++i)
-        l1s_.emplace_back(params_.l1);
+        l1s_.emplace_back(params_.l1, physBytes);
 }
 
 HierarchyResult

@@ -50,7 +50,9 @@ struct HierarchyResult
 class CacheHierarchy
 {
   public:
-    CacheHierarchy(int numCores, const HierarchyParams &params);
+    /** @p physBytes bounds the physical addresses (see Cache). */
+    CacheHierarchy(int numCores, const HierarchyParams &params,
+                   Addr physBytes = Cache::kDefaultPhysBytes);
 
     /**
      * Perform a load/store by core @p coreId for task @p pid at
@@ -58,6 +60,17 @@ class CacheHierarchy
      */
     HierarchyResult access(int coreId, Pid pid, Addr paddr,
                            bool isWrite);
+
+    /**
+     * Count @p n loads/stores that hit through l1(core).accessHit()
+     * instead of access(): the L1 hit path of a caller that batches
+     * its access count (the L1's own counters are already updated).
+     */
+    void
+    countL1Hits(std::uint64_t n)
+    {
+        totalAccesses_ += static_cast<double>(n);
+    }
 
     /** Demand L2 misses for @p pid (numerator of MPKI). */
     std::uint64_t l2MissesOf(Pid pid) const;

@@ -168,7 +168,8 @@ System::System(const SystemConfig &cfg)
     buddy_ = std::make_unique<os::BuddyAllocator>(mc_->mapping());
     vm_ = std::make_unique<os::VirtualMemory>(mc_->mapping(), *buddy_);
     caches_ = std::make_unique<cache::CacheHierarchy>(
-        cfg_.numCores, cfg_.cacheParams);
+        cfg_.numCores, cfg_.cacheParams,
+        mc_->mapping().totalFrames() * mc_->mapping().pageBytes());
     caches_->registerStats(registry_, "caches");
 
     for (int i = 0; i < cfg_.numCores; ++i) {

@@ -19,6 +19,10 @@ Core::Core(EventQueue &eq, int id, const CoreParams &params,
     if (params_.cpuPeriod == 0)
         fatal("cpu period must be non-zero");
     resumeCallee_.core = this;
+    pageShift_ = vm_.mapping().pageShift();
+    pageFaultCharge_ = static_cast<Tick>(
+        std::llround(static_cast<double>(params_.pageFaultPenalty)
+                     * static_cast<double>(params_.cpuPeriod)));
     fillSlotIdx_.assign(static_cast<std::size_t>(params_.robSize) + 1,
                         0);
     fillSlotFilled_.assign(
@@ -100,33 +104,12 @@ Core::setTask(os::Task *task, Tick runUntil)
 }
 
 bool
-Core::robFull() const
+Core::robFull(std::uint64_t instrIdx) const
 {
     if (outstanding_.empty())
         return false;
-    return instrIdx_ - outstanding_.front().instrIdx
+    return instrIdx - outstanding_.front().instrIdx
         >= static_cast<std::uint64_t>(params_.robSize);
-}
-
-void
-Core::chargeInstructions(std::uint64_t n)
-{
-    if (n == 0)
-        return;
-    localTick_ += n < chargeTable_.size()
-        ? chargeTable_[n]
-        : static_cast<Tick>(
-              std::llround(static_cast<double>(n) * cpiTicks_));
-    instrIdx_ += n;
-    task_->instrsRetired += n;
-    instrsIssued += static_cast<double>(n);
-}
-
-void
-Core::chargeCycles(double cycles)
-{
-    localTick_ += static_cast<Tick>(std::llround(
-        cycles * static_cast<double>(params_.cpuPeriod)));
 }
 
 void
@@ -188,7 +171,7 @@ Core::onFill(std::uint64_t epoch, std::uint64_t instrIdx, Tick fillTick)
         outstanding_.pop_front();
     }
 
-    if (stalledOnRob_ && !robFull()) {
+    if (stalledOnRob_ && !robFull(instrIdx_)) {
         stalledOnRob_ = false;
         robStallTicks += static_cast<double>(fillTick - stallStart_);
         localTick_ = std::max(localTick_, fillTick);
@@ -213,8 +196,38 @@ Core::advance(Tick now)
         || stalledOnDependency_ || waitingRetry_) {
         return;
     }
-    // The local clock never trails the event clock.
-    localTick_ = std::max(localTick_, now);
+
+    // The issue clock, the instruction index and the per-op counts
+    // live in locals for the whole call and are written back once,
+    // when the issue loop returns at a sync point: nothing reads them
+    // while advance() runs, and the integer sums the double stats
+    // receive stay exact below 2^53.  The local clock never trails
+    // the event clock.
+    Tick tick = std::max(localTick_, now);
+    std::uint64_t idx = instrIdx_;
+    std::uint64_t instrs = 0;
+    std::uint64_t memOps = 0;
+    std::uint64_t l1Hits = 0;
+
+    const std::uint64_t robSize =
+        static_cast<std::uint64_t>(params_.robSize);
+    cache::Cache &l1 = caches_.l1(id_);
+    const Tick l1HitCharge = hitChargeTable_[static_cast<std::size_t>(
+        l1.params().hitLatency)];
+    const Addr lineMask =
+        ~(static_cast<Addr>(caches_.l2().params().lineBytes) - 1);
+    const os::PageTable &pageTable = task_->pageTable;
+    const Addr pageOffsetMask = (Addr{1} << pageShift_) - 1;
+
+    // Charge @p n instructions of non-memory work.
+    auto chargeInstructions = [&](std::uint64_t n) {
+        tick += n < chargeTable_.size()
+            ? chargeTable_[n]
+            : static_cast<Tick>(
+                  std::llround(static_cast<double>(n) * cpiTicks_));
+        idx += n;
+        instrs += n;
+    };
 
     auto setRetry = [this] {
         waitingRetry_ = true;
@@ -230,150 +243,171 @@ Core::advance(Tick now)
     // Returns true when execution must pause to let wall-clock catch
     // up with the core-local clock before touching shared state.
     auto needSync = [&]() -> bool {
-        if (localTick_ > now) {
-            scheduleResume(localTick_);
+        if (tick > now) {
+            scheduleResume(tick);
             return true;
         }
         return false;
     };
 
-    while (true) {
-        if (localTick_ >= runUntil_)
-            return;  // quantum exhausted; scheduler takes over
+    auto issue = [&] {
+        while (true) {
+            if (tick >= runUntil_)
+                return;  // quantum exhausted; scheduler takes over
 
-        // --- Stage A: drain pending write-backs to the MC ---
-        if (!pendingWritebacks_.empty()) {
-            if (needSync())
-                return;
-            if (!flushWritebacks()) {
-                setRetry();
-                return;
-            }
-            continue;
-        }
-
-        // --- Stage B: issue a pending DRAM read miss ---
-        if (pendingMiss_) {
-            // A pointer-chase load cannot even compute its address
-            // until the chain's previous miss returns.
-            if (pendingMissDependent_ && !outstanding_.empty()) {
+            // --- Stage A: drain pending write-backs to the MC ---
+            if (!pendingWritebacks_.empty()) {
                 if (needSync())
                     return;
-                stalledOnDependency_ = true;
-                stallStart_ = now;
-                return;  // resumed by onFill
+                if (!flushWritebacks()) {
+                    setRetry();
+                    return;
+                }
+                continue;
             }
-            if (inFlightReads_ >= params_.mshrCount) {
+
+            // --- Stage B: issue a pending DRAM read miss ---
+            if (pendingMiss_) {
+                // A pointer-chase load cannot even compute its
+                // address until the chain's previous miss returns.
+                if (pendingMissDependent_ && !outstanding_.empty()) {
+                    if (needSync())
+                        return;
+                    stalledOnDependency_ = true;
+                    stallStart_ = now;
+                    return;  // resumed by onFill
+                }
+                if (inFlightReads_ >= params_.mshrCount) {
+                    if (needSync())
+                        return;
+                    stalledOnMshr_ = true;
+                    stallStart_ = now;
+                    return;  // resumed by onFill
+                }
                 if (needSync())
                     return;
-                stalledOnMshr_ = true;
-                stallStart_ = now;
-                return;  // resumed by onFill
+                memctrl::Request r;
+                r.paddr = *pendingMiss_;
+                r.type = memctrl::Request::Type::Read;
+                r.coreId = id_;
+                r.pid = task_->pid();
+                r.completion = this;
+                r.cookie0 = epoch_;
+                r.cookie1 = pendingMissIdx_;
+                if (!mc_.enqueue(std::move(r))) {
+                    setRetry();
+                    return;
+                }
+                ++inFlightReads_;
+                // Prefetch-covered sequential misses consume
+                // bandwidth and an MSHR but do not block retirement.
+                if (!(pendingMissSequential_
+                      && params_.prefetchSequential)) {
+                    const std::size_t s = static_cast<std::size_t>(
+                        pendingMissIdx_ % fillSlotIdx_.size());
+                    fillSlotIdx_[s] = pendingMissIdx_;
+                    fillSlotFilled_[s] = 0;
+                    outstanding_.push_back(
+                        OutstandingMiss{pendingMissIdx_});
+                }
+                pendingMiss_.reset();
+                ++dramReads;
+                ++task_->dramReads;
+                continue;
             }
-            if (needSync())
-                return;
-            memctrl::Request r;
-            r.paddr = *pendingMiss_;
-            r.type = memctrl::Request::Type::Read;
-            r.coreId = id_;
-            r.pid = task_->pid();
-            r.completion = this;
-            r.cookie0 = epoch_;
-            r.cookie1 = pendingMissIdx_;
-            if (!mc_.enqueue(std::move(r))) {
-                setRetry();
-                return;
-            }
-            ++inFlightReads_;
-            // Prefetch-covered sequential misses consume bandwidth
-            // and an MSHR but do not block retirement.
-            if (!(pendingMissSequential_
-                  && params_.prefetchSequential)) {
-                const std::size_t s = static_cast<std::size_t>(
-                    pendingMissIdx_ % fillSlotIdx_.size());
-                fillSlotIdx_[s] = pendingMissIdx_;
-                fillSlotFilled_[s] = 0;
-                outstanding_.push_back(
-                    OutstandingMiss{pendingMissIdx_});
-            }
-            pendingMiss_.reset();
-            ++dramReads;
-            ++task_->dramReads;
-            continue;
-        }
 
-        // --- Stage C: fetch the next trace entry ---
-        if (!pendingEntry_) {
-            pendingEntry_ = task_->source->next();
-            pendingGap_ = pendingEntry_->gap;
-        }
+            // --- Stage C: fetch the next trace entry ---
+            if (!pendingEntry_) {
+                pendingEntry_ = task_->source->next();
+                pendingGap_ = pendingEntry_->gap;
+            }
 
-        // --- Stage D: issue the gap instructions, ROB-limited ---
-        while (pendingGap_ > 0) {
-            if (robFull()) {
+            // --- Stage D: issue the gap instructions, ROB-limited ---
+            while (pendingGap_ > 0) {
+                if (robFull(idx)) {
+                    if (needSync())
+                        return;
+                    stalledOnRob_ = true;
+                    stallStart_ = now;
+                    return;  // resumed by onFill
+                }
+                std::uint64_t space = robSize;
+                if (!outstanding_.empty())
+                    space = robSize - (idx - outstanding_.front().instrIdx);
+                const std::uint64_t take = std::min(pendingGap_, space);
+                chargeInstructions(take);
+                pendingGap_ -= take;
+            }
+
+            // --- Stage E: the memory operation (one instruction) ---
+
+            if (robFull(idx)) {
                 if (needSync())
                     return;
                 stalledOnRob_ = true;
                 stallStart_ = now;
-                return;  // resumed by onFill
-            }
-            std::uint64_t space =
-                static_cast<std::uint64_t>(params_.robSize);
-            if (!outstanding_.empty()) {
-                space = static_cast<std::uint64_t>(params_.robSize)
-                    - (instrIdx_ - outstanding_.front().instrIdx);
-            }
-            const std::uint64_t take = std::min(pendingGap_, space);
-            chargeInstructions(take);
-            pendingGap_ -= take;
-        }
-
-        // --- Stage E: the memory operation (one instruction) ---
-
-        if (robFull()) {
-            if (needSync())
                 return;
-            stalledOnRob_ = true;
-            stallStart_ = now;
-            return;
+            }
+
+            // A mapped page translates inline; only a first touch
+            // goes through the VM (and may fault).
+            const Addr vaddr = pendingEntry_->vaddr;
+            const std::uint64_t pfn = pageTable.lookup(vaddr >> pageShift_);
+            Addr paddr;
+            if (pfn != os::PageTable::kUnmapped) {
+                paddr = (pfn << pageShift_) | (vaddr & pageOffsetMask);
+            } else {
+                bool faulted = false;
+                paddr = vm_.translate(*task_, vaddr, &faulted);
+                if (faulted)
+                    tick += pageFaultCharge_;
+            }
+
+            const bool isWrite = pendingEntry_->isWrite;
+            chargeInstructions(1);
+            ++memOps;
+
+            // L1 hit: no traffic, and the hierarchy's access count
+            // is batched into l1Hits.
+            if (l1.accessHit(paddr, isWrite)) {
+                ++l1Hits;
+                tick += l1HitCharge;
+                pendingEntry_.reset();
+                continue;
+            }
+
+            const auto res = caches_.access(id_, task_->pid(), paddr,
+                                            isWrite);
+            if (!res.dramMiss) {
+                // Hit latency partially exposed past the OoO window.
+                REFSCHED_ASSERT(res.latency < hitChargeTable_.size(),
+                                "hit latency ", res.latency,
+                                " outside the charge table");
+                tick += hitChargeTable_[res.latency];
+            }
+
+            for (int i = 0; i < res.writebackCount; ++i)
+                pendingWritebacks_.push_back(res.writebacks[i] & lineMask);
+
+            if (res.dramMiss) {
+                pendingMiss_ = paddr & lineMask;
+                pendingMissIdx_ = idx;
+                pendingMissSequential_ = pendingEntry_->sequential;
+                pendingMissDependent_ = pendingEntry_->dependent;
+            }
+
+            pendingEntry_.reset();
+            // Stages A/B pick up the generated DRAM traffic next loop.
         }
+    };
+    issue();
 
-        bool faulted = false;
-        const Addr paddr =
-            vm_.translate(*task_, pendingEntry_->vaddr, &faulted);
-        if (faulted)
-            chargeCycles(
-                static_cast<double>(params_.pageFaultPenalty));
-
-        const bool isWrite = pendingEntry_->isWrite;
-        const auto res = caches_.access(id_, task_->pid(), paddr,
-                                        isWrite);
-        chargeInstructions(1);
-        ++task_->memOps;
-
-        if (!res.dramMiss) {
-            // Hit latency partially exposed past the OoO window.
-            REFSCHED_ASSERT(res.latency < hitChargeTable_.size(),
-                            "hit latency ", res.latency,
-                            " outside the charge table");
-            localTick_ += hitChargeTable_[res.latency];
-        }
-
-        const Addr lineMask =
-            ~(static_cast<Addr>(caches_.l2().params().lineBytes) - 1);
-        for (int i = 0; i < res.writebackCount; ++i)
-            pendingWritebacks_.push_back(res.writebacks[i] & lineMask);
-
-        if (res.dramMiss) {
-            pendingMiss_ = paddr & lineMask;
-            pendingMissIdx_ = instrIdx_;
-            pendingMissSequential_ = pendingEntry_->sequential;
-            pendingMissDependent_ = pendingEntry_->dependent;
-        }
-
-        pendingEntry_.reset();
-        // Stages A/B pick up the generated DRAM traffic next loop.
-    }
+    localTick_ = tick;
+    instrIdx_ = idx;
+    task_->instrsRetired += instrs;
+    task_->memOps += memOps;
+    instrsIssued += static_cast<double>(instrs);
+    caches_.countL1Hits(l1Hits);
 }
 
 void

@@ -107,14 +107,9 @@ class Core : public os::CpuContext, public Callee
      *  tick of the invoking event (== the owning queue's now()). */
     void advance(Tick now);
 
-    /** Charge @p n instructions of non-memory work. */
-    void chargeInstructions(std::uint64_t n);
-
-    /** Charge @p cycles of pure latency (no instructions). */
-    void chargeCycles(double cycles);
-
-    /** ROB cannot accept instructions past the oldest miss. */
-    bool robFull() const;
+    /** ROB cannot accept instruction @p instrIdx: it lies robSize
+     *  or more past the oldest outstanding miss. */
+    bool robFull(std::uint64_t instrIdx) const;
 
     /** DRAM read response for (epoch, instrIdx). */
     void onFill(std::uint64_t epoch, std::uint64_t instrIdx,
@@ -159,8 +154,15 @@ class Core : public os::CpuContext, public Callee
     std::uint64_t epoch_ = 0;
 
     /** Core-local issue clock; may run ahead of eq_.now() while
-     *  processing cache-resident work. */
+     *  processing cache-resident work.  advance() works on a local
+     *  copy and stores it back when it returns. */
     Tick localTick_ = 0;
+
+    /** Page size shift of the VM's mapping (inline translation). */
+    unsigned pageShift_ = 0;
+
+    /** Tick charge of a minor page fault (pageFaultPenalty cycles). */
+    Tick pageFaultCharge_ = 0;
 
     std::uint64_t instrIdx_ = 0;
     std::deque<OutstandingMiss> outstanding_;
@@ -204,18 +206,18 @@ class Core : public os::CpuContext, public Callee
     double cpiTicks_ = 0.0;  ///< ticks per non-memory instruction
 
     /** chargeTable_[n] = llround(n * cpiTicks_) for n in [0,
-     *  robSize]; chargeInstructions' n is ROB-bounded, so the hot
+     *  robSize]; an issued batch is ROB-bounded, so the hot
      *  path replaces an llround per call with a table load.  Rebuilt
      *  only when cpiTicks_ changes (context switch to a different
      *  CPI), yielding identical tick charges. */
     std::vector<Tick> chargeTable_;
     double chargeTableCpi_ = -1.0;
 
-    /** hitChargeTable_[c] = the chargeCycles() tick charge of
-     *  c * hitLatencyVisibility cycles, for c in [0, L1 hit + L2
-     *  hit]: every cache-hit latency the hierarchy reports.  Fixed
-     *  at construction, so a hit costs a table load, not an
-     *  llround. */
+    /** hitChargeTable_[c] = llround(c * hitLatencyVisibility *
+     *  cpuPeriod), the tick charge of a c-cycle cache hit, for c in
+     *  [0, L1 hit + L2 hit]: every cache-hit latency the hierarchy
+     *  reports.  Fixed at construction, so a hit costs a table load,
+     *  not an llround. */
     std::vector<Tick> hitChargeTable_;
 };
 

@@ -116,9 +116,7 @@ Rng::geometric(double p, std::uint64_t maxGap)
         return 0;
     if (p <= 0.0)
         return maxGap;
-    if (p != geom_.p())
-        geom_.build(p);
-    return geom_.gap(real(), maxGap);
+    return geometricTable(p).gap(real(), maxGap);
 }
 
 } // namespace refsched

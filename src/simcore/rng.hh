@@ -11,6 +11,7 @@
 #ifndef REFSCHED_SIMCORE_RNG_HH
 #define REFSCHED_SIMCORE_RNG_HH
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -269,15 +270,34 @@ class Rng
         return lo + below(hi - lo + 1);
     }
 
+    /** Uniform integer in [0, 2^53): the draw behind real(). */
+    std::uint64_t bits53() { return next() >> 11; }
+
     /** Uniform double in [0, 1). */
     double
     real()
     {
-        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+        return static_cast<double>(bits53()) * 0x1.0p-53;
     }
 
     /** Bernoulli trial with success probability @p p. */
     bool bernoulli(double p) { return real() < p; }
+
+    /**
+     * The cut t with bernoulli(p) == (bits53() < t) for every draw:
+     * real() < p is k * 2^-53 < p for the integer k = bits53(), and
+     * p * 2^53 is exact, so that is k < ceil(p * 2^53).  Clamped to
+     * [0, 2^53]; a NaN p (never true) gives 0.
+     */
+    static std::uint64_t
+    bernoulliCut(double p)
+    {
+        if (!(p > 0.0))
+            return 0;
+        if (p >= 1.0)
+            return std::uint64_t{1} << 53;
+        return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+    }
 
     /**
      * Geometric "gap" sample: number of failures before the first
@@ -287,6 +307,19 @@ class Rng
      * only when @p p changes (a trace's macro-phase switch).
      */
     std::uint64_t geometric(double p, std::uint64_t maxGap = 100000);
+
+    /**
+     * The table geometric(p, maxGap) draws through, for @p p in
+     * (0, 1): geometric(p, maxGap) == geometricTable(p).gap(real(),
+     * maxGap).  Rebuilt only when @p p changes.
+     */
+    const GeometricGapTable &
+    geometricTable(double p)
+    {
+        if (p != geom_.p())
+            geom_.build(p);
+        return geom_;
+    }
 
   private:
     static std::uint64_t

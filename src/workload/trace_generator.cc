@@ -66,61 +66,83 @@ SyntheticTraceGenerator::applyPhase(std::size_t idx)
     phaseInstrsLeft_ = profile_.phased() ? profile_.memPhaseInstrs : 0;
 }
 
-cpu::TraceEntry
-SyntheticTraceGenerator::next()
+void
+SyntheticTraceGenerator::refill()
 {
-    if (!base_.phases.empty() && macroInstrsLeft_ == 0) {
+    const bool macro = !base_.phases.empty();
+    if (macro && macroInstrsLeft_ == 0) {
         ++phaseEpoch_;
         applyPhase((phaseIdx_ + 1) % base_.phases.phases.size());
     }
-
-    cpu::TraceEntry e;
-    // Gap between memory ops: geometric with mean (1-f)/f.
-    e.gap = static_cast<std::uint32_t>(
-        rng_.geometric(profile_.memOpFraction, 4096));
-    e.isWrite = rng_.bernoulli(profile_.writeFraction);
-
-    if (!base_.phases.empty()) {
-        macroInstrsLeft_ -=
-            std::min<std::uint64_t>(macroInstrsLeft_, e.gap + 1ULL);
+    const bool phased = profile_.phased();
+    if (phased && phaseInstrsLeft_ == 0) {
+        inMemPhase_ = !inMemPhase_;
+        phaseInstrsLeft_ = inMemPhase_ ? profile_.memPhaseInstrs
+                                       : profile_.computePhaseInstrs;
     }
 
-    if (profile_.phased()) {
-        if (phaseInstrsLeft_ == 0) {
-            inMemPhase_ = !inMemPhase_;
-            phaseInstrsLeft_ = inMemPhase_
-                ? profile_.memPhaseInstrs
-                : profile_.computePhaseInstrs;
-        }
+    // Everything below is fixed for the block: no switch happens
+    // inside it.  Bernoulli and mixture draws compare the raw 53-bit
+    // draw against exact cuts (Rng::bernoulliCut) instead of forming
+    // a double; slot counts replace a division per entry.
+    const double p = profile_.memOpFraction;
+    const GeometricGapTable *gaps =
+        p > 0.0 && p < 1.0 ? &rng_.geometricTable(p) : nullptr;
+    const std::uint64_t writeCut =
+        Rng::bernoulliCut(profile_.writeFraction);
+    const std::uint64_t seqCut = Rng::bernoulliCut(profile_.seqFraction);
+    const std::uint64_t randomCut = Rng::bernoulliCut(
+        profile_.seqFraction + profile_.randomFraction);
+    const std::uint64_t dependentCut =
+        Rng::bernoulliCut(profile_.dependentFraction);
+    const std::uint64_t access = profile_.accessBytes;
+    const std::uint64_t hotSlots = profile_.hotsetBytes / access;
+    const std::uint64_t footprintSlots = footprint_ / access;
+    const bool computePhase = phased && !inMemPhase_;
+
+    head_ = 0;
+    filled_ = 0;
+    while (filled_ < kBlockEntries) {
+        cpu::TraceEntry e;
+        // Gap between memory ops: geometric with mean (1-f)/f.
+        e.gap = static_cast<std::uint32_t>(
+            gaps ? gaps->gap(rng_.real(), 4096) : rng_.geometric(p, 4096));
+        e.isWrite = rng_.bits53() < writeCut;
+
         const std::uint64_t consumed = e.gap + 1ULL;
-        phaseInstrsLeft_ -= std::min(phaseInstrsLeft_, consumed);
-        if (!inMemPhase_) {
-            // Compute phase: everything hits the hot set.
-            e.vaddr = rng_.below(profile_.hotsetBytes
-                                 / profile_.accessBytes)
-                * profile_.accessBytes;
-            return e;
-        }
-    }
+        if (macro)
+            macroInstrsLeft_ -= std::min(macroInstrsLeft_, consumed);
+        if (phased)
+            phaseInstrsLeft_ -= std::min(phaseInstrsLeft_, consumed);
 
-    const double which = rng_.real();
-    if (which < profile_.seqFraction) {
-        auto &cur = streamCursor_[nextStream_];
-        nextStream_ = (nextStream_ + 1) % kNumStreams;
-        cur += profile_.accessBytes;
-        if (cur >= footprint_)
-            cur = 0;
-        e.vaddr = cur;
-        e.sequential = true;
-    } else if (which < profile_.seqFraction + profile_.randomFraction) {
-        e.vaddr = rng_.below(footprint_ / profile_.accessBytes)
-            * profile_.accessBytes;
-        e.dependent = rng_.bernoulli(profile_.dependentFraction);
-    } else {
-        e.vaddr = rng_.below(profile_.hotsetBytes / profile_.accessBytes)
-            * profile_.accessBytes;
+        if (computePhase) {
+            // Compute phase: everything hits the hot set.
+            e.vaddr = rng_.below(hotSlots) * access;
+        } else {
+            const std::uint64_t which = rng_.bits53();
+            if (which < seqCut) {
+                auto &cur = streamCursor_[nextStream_];
+                nextStream_ = (nextStream_ + 1) % kNumStreams;
+                cur += access;
+                if (cur >= footprint_)
+                    cur = 0;
+                e.vaddr = cur;
+                e.sequential = true;
+            } else if (which < randomCut) {
+                e.vaddr = rng_.below(footprintSlots) * access;
+                e.dependent = rng_.bits53() < dependentCut;
+            } else {
+                e.vaddr = rng_.below(hotSlots) * access;
+            }
+        }
+        block_[filled_++] = e;
+
+        // A switch is due before the next entry: end the block so
+        // the next refill takes it when that entry is handed out.
+        if ((macro && macroInstrsLeft_ == 0)
+            || (phased && phaseInstrsLeft_ == 0))
+            break;
     }
-    return e;
 }
 
 } // namespace refsched::workload

@@ -301,7 +301,9 @@ TEST_P(CacheEquivalenceTest, RandomStreamsMatchReferenceLru)
     p.lineBytes = 64;
     p.sizeBytes = 8 * p.lineBytes
         * static_cast<std::uint64_t>(p.associativity);  // 8 sets
-    Cache c(p);
+    // Addresses start at 2^40, past the default physical span.
+    const Addr base = Addr{1} << 40;
+    Cache c(p, base + base / 2);
     ReferenceCache ref(p);
     Rng rng(static_cast<std::uint64_t>(p.associativity));
     // Twice as many distinct lines per set as ways, so hits, clean
@@ -310,10 +312,19 @@ TEST_P(CacheEquivalenceTest, RandomStreamsMatchReferenceLru)
     const std::uint64_t lines =
         2 * 8 * static_cast<std::uint64_t>(p.associativity);
     for (int step = 0; step < 200000; ++step) {
-        const Addr paddr = (1ULL << 40) + rng.below(lines) * 64
+        const Addr paddr = base + rng.below(lines) * 64
             + rng.below(64);
         const std::uint64_t op = rng.below(100);
-        if (op < 55) {
+        if (op < 15) {
+            // The hit-only path: access() on a hit, a no-op on a miss.
+            const bool w = rng.bernoulli(0.3);
+            if (ref.contains(paddr)) {
+                ASSERT_TRUE(c.accessHit(paddr, w)) << step;
+                ASSERT_TRUE(ref.access(paddr, w).hit) << step;
+            } else {
+                ASSERT_FALSE(c.accessHit(paddr, w)) << step;
+            }
+        } else if (op < 55) {
             const bool w = rng.bernoulli(0.3);
             const auto got = c.access(paddr, w);
             const auto want = ref.access(paddr, w);
@@ -345,7 +356,7 @@ TEST_P(CacheEquivalenceTest, RandomStreamsMatchReferenceLru)
 }
 
 INSTANTIATE_TEST_SUITE_P(Associativities, CacheEquivalenceTest,
-                         ::testing::Values(1, 2, 4, 16));
+                         ::testing::Values(1, 2, 4, 8, 16, 32));
 
 TEST(CacheTest, BadParamsAreFatal)
 {
@@ -360,6 +371,21 @@ TEST(CacheTest, BadParamsAreFatal)
     p = tiny();
     p.sizeBytes = 384;  // 3 sets: not a power of two
     EXPECT_THROW(Cache{p}, FatalError);
+
+    // LRU ranks are one byte: at most 255 ways.
+    p = tiny();
+    p.associativity = 256;
+    p.sizeBytes = 256 * 64;
+    EXPECT_THROW(Cache{p}, FatalError);
+    p.associativity = 255;
+    p.sizeBytes = 255 * 64;  // one set
+    EXPECT_NO_THROW((Cache{p, Addr{1} << 30}));
+
+    // Keys are 32-bit: the tiny cache's 8 offset+index bits leave a
+    // 2^40-byte space 32 tag bits, one too many (tag + 1 must fit).
+    p = tiny();
+    EXPECT_THROW((Cache{p, Addr{1} << 40}), FatalError);
+    EXPECT_NO_THROW((Cache{p, (Addr{1} << 40) - 256}));
 }
 
 } // namespace

@@ -302,6 +302,102 @@ TEST(CoreTest, NullTaskIdles)
     EXPECT_EQ(f.core.instrsIssued.value(), 0.0);
 }
 
+/**
+ * The issue loop keeps its clock, instruction index and per-op counts
+ * in locals and writes them back when it returns.  Drive every kind
+ * of return -- quantum end, ROB stall, page fault, write-back and
+ * miss traffic, MSHR and dependency waits -- and compare the counters
+ * at several quantum boundaries with values recorded from the
+ * member-counter loop.  A write-back missing on any return path
+ * changes at least one of them.
+ */
+TEST(CoreTest, CountersMatchGoldenAtQuantumBoundaries)
+{
+    CoreParams params;
+    params.mshrCount = 2;
+    Fixture f(params);
+    f.preTouch(1 * kMiB);
+    StatRegistry reg;
+    f.caches.registerStats(reg, "caches");
+    const auto *accesses =
+        static_cast<const Scalar *>(reg.find("caches.accesses"));
+    ASSERT_NE(accesses, nullptr);
+
+    const std::uint64_t pageBytes = f.mc.mapping().pageBytes();
+    std::uint64_t n = 0, writes = 0, loads = 0, pages = 0;
+    // cpi 0.7000063 makes 218.402 ticks per instruction: a 128-entry
+    // ROB chunk rounds down by 0.45 ticks, so a 4000-instruction gap
+    // charged in ROB-sized chunks lands ~14 ticks before one
+    // whole-gap charge would, which moves the stall accounting.
+    ScriptedSource src(
+        [&] {
+            TraceEntry e;
+            const std::uint64_t step = n % 16;
+            const bool fault = n++ % 64 == 0;
+            if (fault) {
+                // First touch of a fresh page: a fault and a miss.
+                e.gap = 5;
+                e.vaddr = 2 * kMiB + pages++ * pageBytes;
+            } else if (step == 1) {
+                e.gap = 4000;  // longer than the ROB
+                e.vaddr = 64;
+            } else if (step <= 3) {
+                // A store stream over 64 KB: dirty evictions.
+                e.gap = 2;
+                e.vaddr = 64 * kKiB + (writes++ * 64) % (64 * kKiB);
+                e.isWrite = true;
+            } else if (step <= 5) {
+                // Scattered loads: DRAM reads, the second dependent.
+                e.gap = 1;
+                e.vaddr = 512 * kKiB + (loads++ * 7919 % 2048) * 64;
+                e.dependent = step == 5;
+            } else if (step == 6) {
+                e.gap = 300;  // fills the ROB behind those misses
+                e.vaddr = 128;
+            } else {
+                // Hot L1 hits.
+                e.gap = 3;
+                e.vaddr = (step % 4) * 64;
+                e.isWrite = step % 3 == 0;
+            }
+            return e;
+        },
+        0.7000063);
+    f.task.source = &src;
+
+    // Recorded from the loop that updated the counters in place.
+    struct Golden
+    {
+        double us;
+        std::uint64_t instrs, memOps;
+        double accesses, dramReads, robStallTicks;
+    };
+    const Golden golden[] = {
+        {3.0, 8669, 23, 23, 9, 121235},
+        {7.0, 25765, 82, 82, 16, 238711},
+        {12.5, 43172, 146, 146, 25, 393331},
+        {20.0, 69634, 257, 257, 40, 660023},
+        {31.0, 108449, 386, 386, 59, 974622},
+    };
+    for (const Golden &g : golden) {
+        const Tick until = microseconds(g.us);
+        f.core.setTask(&f.task, until);
+        f.eq.runUntil(until);
+        EXPECT_EQ(f.task.instrsRetired, g.instrs) << g.us;
+        EXPECT_EQ(f.task.memOps, g.memOps) << g.us;
+        EXPECT_EQ(f.core.instrsIssued.value(),
+                  static_cast<double>(g.instrs))
+            << g.us;
+        EXPECT_EQ(accesses->value(), g.accesses) << g.us;
+        EXPECT_EQ(f.core.dramReads.value(), g.dramReads) << g.us;
+        EXPECT_EQ(f.core.robStallTicks.value(), g.robStallTicks)
+            << g.us;
+    }
+    // The run reaches every stall kind it means to.
+    EXPECT_GT(f.core.mshrStallTicks.value(), 0.0);
+    EXPECT_GT(f.core.dramWrites.value(), 0.0);
+}
+
 TEST(CoreTest, BadParamsAreFatal)
 {
     Fixture f;  // reuse its components

@@ -82,8 +82,10 @@ TEST(JsonParserTest, RejectsMalformedInput)
 TEST(JsonParserTest, RoundTripsEscapedStrings)
 {
     const std::string original = "line1\nline2\t\"quoted\" \\ done";
-    const auto v =
-        parseJson("\"" + jsonEscape(original) + "\"");
+    std::string quoted = jsonEscape(original);
+    quoted.insert(quoted.begin(), '"');
+    quoted.push_back('"');
+    const auto v = parseJson(quoted);
     EXPECT_EQ(v.string, original);
 }
 

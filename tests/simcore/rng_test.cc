@@ -100,9 +100,29 @@ TEST_P(RngBernoulliTest, MatchesProbability)
     EXPECT_NEAR(static_cast<double>(hits) / n, p, 0.02);
 }
 
+TEST_P(RngBernoulliTest, CutMatchesRealCompareForEveryDraw)
+{
+    // bits53() < bernoulliCut(p) must equal real() < p: check the
+    // draws around the cut exactly and a random stream draw for draw.
+    const double p = GetParam();
+    const std::uint64_t cut = Rng::bernoulliCut(p);
+    const std::uint64_t top = std::uint64_t{1} << 53;
+    for (std::uint64_t d = 0; d < 5; ++d) {
+        for (const std::uint64_t k : {cut + d, cut - d - 1, d, top - 1 - d}) {
+            if (k >= top)
+                continue;
+            EXPECT_EQ(k < cut, static_cast<double>(k) * 0x1.0p-53 < p)
+                << "p=" << p << " k=" << k;
+        }
+    }
+    Rng a(99), b(99);
+    for (int i = 0; i < 10000; ++i)
+        ASSERT_EQ(a.bernoulli(p), b.bits53() < cut) << i;
+}
+
 INSTANTIATE_TEST_SUITE_P(Probabilities, RngBernoulliTest,
                          ::testing::Values(0.0, 0.1, 0.35, 0.5, 0.9,
-                                           1.0));
+                                           1.0, 0.04, 0.3));
 
 class RngGeometricTest : public ::testing::TestWithParam<double>
 {

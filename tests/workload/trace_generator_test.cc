@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "simcore/logging.hh"
 
 namespace refsched::workload
@@ -142,6 +144,41 @@ TEST(TraceGeneratorTest, PhasedProfilesAlternateIntensity)
     }
     EXPECT_GT(memWindows, 2);
     EXPECT_GT(computeWindows, 2);
+}
+
+TEST(TraceGeneratorTest, PhaseStateFollowsTheEntryHandedOut)
+{
+    // The generator draws entries a block at a time; the phase state
+    // must still switch on exactly the entry after the one whose
+    // gap + 1 used up the macro-phase budget, wherever that entry
+    // falls in a block.
+    BenchmarkProfile p = profileByName("mcf");
+    p.phases = PhaseSchedule::parse("stream@5000@0.5|mcf@3001@1");
+    const std::uint64_t fp = 1 << 20;
+    const std::uint64_t budgets[] = {5000, 3001};
+    const std::uint64_t footprints[] = {fp / 2, fp};
+    SyntheticTraceGenerator g(p, 17, fp);
+
+    std::uint64_t epoch = 0, left = budgets[0], sincePhase = 0;
+    bool switchDue = false;
+    int unalignedSwitches = 0;
+    for (int i = 0; i < 40000; ++i) {
+        const auto e = g.next();
+        if (switchDue) {
+            unalignedSwitches += sincePhase % 64 != 0;
+            ++epoch;
+            left = budgets[epoch % 2];
+            sincePhase = 0;
+            switchDue = false;
+        }
+        ++sincePhase;
+        ASSERT_EQ(g.phaseEpoch(), epoch) << i;
+        ASSERT_EQ(g.footprintBytes(), footprints[epoch % 2]) << i;
+        left -= std::min<std::uint64_t>(left, e.gap + 1ULL);
+        switchDue = left == 0;
+    }
+    EXPECT_GE(epoch, 10u);
+    EXPECT_GT(unalignedSwitches, 0) << "no switch fell mid-block";
 }
 
 TEST(TraceGeneratorTest, UnphasedProfileStaysInMemPhase)
