@@ -32,6 +32,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -41,8 +42,10 @@
 #include "core/parallel_runner.hh"
 #include "core/report.hh"
 #include "core/system.hh"
+#include "obs/json.hh"
 #include "obs/timeline.hh"
 #include "simcore/logging.hh"
+#include "workload/profile.hh"
 #include "workload/workloads.hh"
 
 namespace refsched::bench
@@ -95,12 +98,12 @@ struct JsonArchive
             std::cerr << "cannot write " << path << "\n";
             return;
         }
-        os << "{\n  \"bench\": \"" << escape(bench) << "\",\n"
+        os << "{\n  \"bench\": \"" << obs::jsonEscape(bench) << "\",\n"
            << "  \"options\": " << options << ",\n"
            << "  \"tables\": [\n";
         for (std::size_t t = 0; t < tables.size(); ++t) {
             const auto &[label, table] = tables[t];
-            os << "    {\"label\": \"" << escape(label)
+            os << "    {\"label\": \"" << obs::jsonEscape(label)
                << "\", \"headers\": ";
             writeRow(os, table.headers());
             os << ", \"rows\": [";
@@ -115,23 +118,6 @@ struct JsonArchive
         os << "  ]\n}\n";
     }
 
-    static std::string
-    escape(const std::string &s)
-    {
-        std::string out;
-        out.reserve(s.size());
-        for (char ch : s) {
-            if (ch == '"' || ch == '\\')
-                out += '\\';
-            if (ch == '\n') {
-                out += "\\n";
-                continue;
-            }
-            out += ch;
-        }
-        return out;
-    }
-
     static void
     writeRow(std::ostream &os, const std::vector<std::string> &cells)
     {
@@ -139,7 +125,7 @@ struct JsonArchive
         for (std::size_t i = 0; i < cells.size(); ++i) {
             if (i > 0)
                 os << ", ";
-            os << "\"" << escape(cells[i]) << "\"";
+            os << "\"" << obs::jsonEscape(cells[i]) << "\"";
         }
         os << "]";
     }
@@ -192,10 +178,19 @@ parseArgs(int argc, char **argv)
     BenchOptions opts;
     opts.benchName = argc > 0 ? argv[0] : "bench";
 
-    auto intArg = [&](int &i) {
+    // One whole, in-range integer; anything else is a usage error
+    // before any simulation starts.
+    auto intArg = [&](int &i, int lo) {
         if (i + 1 >= argc)
             usage(argv[0]);
-        return std::atoi(argv[++i]);
+        const char *flag = argv[i];
+        try {
+            return static_cast<int>(workload::parseSignedToken(
+                argv[++i], flag, lo, std::numeric_limits<int>::max()));
+        } catch (const FatalError &e) {
+            std::cerr << "error: " << e.what() << "\n";
+            usage(argv[0]);
+        }
     };
 
     for (int i = 1; i < argc; ++i) {
@@ -204,13 +199,13 @@ parseArgs(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--csv") == 0) {
             opts.csv = true;
         } else if (std::strcmp(argv[i], "--scale") == 0) {
-            opts.timeScale = static_cast<unsigned>(intArg(i));
+            opts.timeScale = static_cast<unsigned>(intArg(i, 1));
         } else if (std::strcmp(argv[i], "--jobs") == 0) {
-            opts.jobs = intArg(i);
+            opts.jobs = intArg(i, 0);
         } else if (std::strcmp(argv[i], "--warmup") == 0) {
-            opts.warmupQuanta = intArg(i);
+            opts.warmupQuanta = intArg(i, 0);
         } else if (std::strcmp(argv[i], "--measure") == 0) {
-            opts.measureQuanta = intArg(i);
+            opts.measureQuanta = intArg(i, 1);
         } else if (std::strcmp(argv[i], "--json") == 0) {
             if (i + 1 >= argc)
                 usage(argv[0]);
@@ -232,13 +227,6 @@ parseArgs(int argc, char **argv)
         } else {
             usage(argv[0]);
         }
-    }
-
-    // Reject values the simulator would only panic on later.
-    if (opts.timeScale < 1 || opts.warmupQuanta < 0
-        || opts.measureQuanta < 1) {
-        std::cerr << "invalid --scale/--warmup/--measure value\n";
-        usage(argv[0]);
     }
 
     if (!opts.jsonPath.empty()) {

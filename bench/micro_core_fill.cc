@@ -69,7 +69,8 @@ class CompletingPort final : public memctrl::MemoryPort
     }
 
     void
-    requestRetryNotification(std::function<void()>) override
+    requestRetryNotification(Callee &, std::uint64_t,
+                             std::uint64_t) override
     {
     }
 

@@ -83,12 +83,19 @@ BM_BuddyAllocFreePage(benchmark::State &state)
 }
 BENCHMARK(BM_BuddyAllocFreePage);
 
+/** Event receiver that does nothing: times the kernel alone. */
+struct NopCallee final : Callee
+{
+    void fire(Tick, std::uint64_t, std::uint64_t) override {}
+};
+
 void
 BM_EventQueueScheduleRun(benchmark::State &state)
 {
     EventQueue eq;
+    NopCallee nop;
     for (auto _ : state) {
-        eq.schedule(eq.now() + 10, [] {});
+        eq.schedule(eq.now() + 10, nop, 0, 0);
         eq.runOne();
     }
 }
@@ -101,11 +108,12 @@ BM_EventQueueScheduleCancel(benchmark::State &state)
     // events: exercises the O(1) generation-counter cancel and the
     // slab free-list recycle path (steady state allocates nothing).
     EventQueue eq;
+    NopCallee nop;
     std::vector<EventHandle> standing;
     for (std::int64_t i = 0; i < state.range(0); ++i)
-        standing.push_back(eq.schedule(1'000'000 + i, [] {}));
+        standing.push_back(eq.schedule(1'000'000 + i, nop, 0, 0));
     for (auto _ : state) {
-        auto h = eq.schedule(eq.now() + 10, [] {});
+        auto h = eq.schedule(eq.now() + 10, nop, 0, 0);
         h.cancel();
     }
 }

@@ -87,26 +87,44 @@ struct LatencyAccumulator : Callee
     }
 };
 
+/** Open-loop injector: one random read every period, rescheduling
+ *  itself as the next event. */
+struct Injector : Callee
+{
+    memctrl::MemoryController &mc;
+    EventQueue &eq;
+    const dram::DramDeviceConfig &dev;
+    LatencyAccumulator &acc;
+    Rng rng{42};
+    Tick period = nanoseconds(25.0);
+
+    Injector(memctrl::MemoryController &m, EventQueue &q,
+             const dram::DramDeviceConfig &d, LatencyAccumulator &a)
+        : mc(m), eq(q), dev(d), acc(a)
+    {
+    }
+
+    void
+    fire(Tick now, std::uint64_t, std::uint64_t) override
+    {
+        memctrl::Request r;
+        r.paddr = rng.below(dev.org.totalBytes() / 64) * 64;
+        r.type = memctrl::Request::Type::Read;
+        r.completion = &acc;
+        r.cookie0 = static_cast<std::uint64_t>(now);
+        mc.enqueue(std::move(r));
+        eq.schedule(now + period, *this, 0, 0);
+    }
+};
+
 /** Open-loop random read traffic; returns average latency in ns. */
 double
 drive(memctrl::MemoryController &mc, EventQueue &eq,
       const dram::DramDeviceConfig &dev)
 {
-    Rng rng(42);
     LatencyAccumulator acc;
-    const Tick period = nanoseconds(25.0);
-
-    std::function<void(Tick)> inject = [&](Tick t) {
-        memctrl::Request r;
-        r.paddr = rng.below(dev.org.totalBytes() / 64) * 64;
-        r.type = memctrl::Request::Type::Read;
-        r.completion = &acc;
-        r.cookie0 = static_cast<std::uint64_t>(t);
-        mc.enqueue(std::move(r));
-        eq.schedule(t + period,
-                    [&inject, t, period] { inject(t + period); });
-    };
-    eq.schedule(0, [&] { inject(0); });
+    Injector inject(mc, eq, dev, acc);
+    eq.schedule(0, inject, 0, 0);
     eq.runUntil(dev.timings.tREFW);
 
     return acc.completed

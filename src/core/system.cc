@@ -240,8 +240,9 @@ System::System(const SystemConfig &cfg)
 
     buildTasks();
     assignBankMasks();
-    if (cfg_.preTouchPages)
-        preTouchFootprints();
+    // Touch every task page at setup (the paper's tasks have
+    // allocated their footprint before the region of interest).
+    preTouchFootprints();
 
     if (!cfg_.scenario.empty()) {
         os::ScenarioDirector::Hooks hooks;

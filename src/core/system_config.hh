@@ -102,10 +102,6 @@ struct SystemConfig
     int etaThresh = 64;
     bool bestEffort = true;
 
-    /** Touch every task page at setup (the paper's tasks have
-     *  allocated their footprint before the region of interest). */
-    bool preTouchPages = true;
-
     /**
      * Attach the invariant checkers (JEDEC timing auditor, refresh
      * window monitor, OS auditor) for this run.  Requires the build

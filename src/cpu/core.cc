@@ -21,7 +21,7 @@ Core::Core(EventQueue &eq, int id, const CoreParams &params,
     resumeCallee_.core = this;
     pageShift_ = vm_.mapping().pageShift();
     pageFaultCharge_ = static_cast<Tick>(
-        std::llround(static_cast<double>(params_.pageFaultPenalty)
+        std::llround(static_cast<double>(kPageFaultPenalty)
                      * static_cast<double>(params_.cpuPeriod)));
     fillSlotIdx_.assign(static_cast<std::size_t>(params_.robSize) + 1,
                         0);
@@ -32,16 +32,20 @@ Core::Core(EventQueue &eq, int id, const CoreParams &params,
     hitChargeTable_.resize(static_cast<std::size_t>(maxHit) + 1);
     for (std::size_t c = 0; c < hitChargeTable_.size(); ++c) {
         hitChargeTable_[c] = static_cast<Tick>(std::llround(
-            static_cast<double>(c) * params_.hitLatencyVisibility
+            static_cast<double>(c) * kHitLatencyVisibility
             * static_cast<double>(params_.cpuPeriod)));
     }
 }
 
 void
-Core::ResumeCallee::fire(Tick now, std::uint64_t epoch, std::uint64_t)
+Core::ResumeCallee::fire(Tick now, std::uint64_t epoch,
+                         std::uint64_t isRetry)
 {
-    if (epoch == core->epoch_)
-        core->advance(now);
+    if (epoch != core->epoch_)
+        return;
+    if (isRetry)
+        core->waitingRetry_ = false;
+    core->advance(now);
 }
 
 void
@@ -232,12 +236,7 @@ Core::advance(Tick now)
     auto setRetry = [this] {
         waitingRetry_ = true;
         ++mcBackpressureEvents;
-        mc_.requestRetryNotification([this, e = epoch_] {
-            if (e == epoch_) {
-                waitingRetry_ = false;
-                advance(eq_.now());
-            }
-        });
+        mc_.requestRetryNotification(resumeCallee_, epoch_, 1);
     };
 
     // Returns true when execution must pause to let wall-clock catch

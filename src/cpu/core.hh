@@ -57,15 +57,6 @@ struct CoreParams
      * regime.
      */
     bool prefetchSequential = false;
-
-    /** Extra cycles a minor page fault costs the core. */
-    Cycles pageFaultPenalty = 3000;
-
-    /**
-     * Fraction of L2-hit latency the out-of-order window fails to
-     * hide (0 = fully hidden, 1 = fully exposed).
-     */
-    double hitLatencyVisibility = 0.3;
 };
 
 class Core : public os::CpuContext, public Callee
@@ -131,14 +122,16 @@ class Core : public os::CpuContext, public Callee
     /** Schedule advance() to resume at @p when. */
     void scheduleResume(Tick when);
 
-    /** Intrusive resume event: fires advance() if the scheduling
-     *  epoch is still current.  A separate Callee from the Core
-     *  itself, whose fire() is the read-completion path. */
+    /** Intrusive resume event and memory-port retry notification:
+     *  fires advance() if the scheduling epoch is still current; a
+     *  non-zero @p isRetry also ends the retry wait.  A separate
+     *  Callee from the Core itself, whose fire() is the
+     *  read-completion path. */
     class ResumeCallee : public Callee
     {
       public:
         void fire(Tick now, std::uint64_t epoch,
-                  std::uint64_t arg1) override;
+                  std::uint64_t isRetry) override;
         Core *core = nullptr;
     };
 
@@ -161,7 +154,16 @@ class Core : public os::CpuContext, public Callee
     /** Page size shift of the VM's mapping (inline translation). */
     unsigned pageShift_ = 0;
 
-    /** Tick charge of a minor page fault (pageFaultPenalty cycles). */
+    /** Extra cycles a minor page fault costs the core. */
+    static constexpr Cycles kPageFaultPenalty = 3000;
+
+    /**
+     * Fraction of L2-hit latency the out-of-order window fails to
+     * hide (0 = fully hidden, 1 = fully exposed).
+     */
+    static constexpr double kHitLatencyVisibility = 0.3;
+
+    /** Tick charge of a minor page fault (kPageFaultPenalty cycles). */
     Tick pageFaultCharge_ = 0;
 
     std::uint64_t instrIdx_ = 0;
@@ -213,7 +215,7 @@ class Core : public os::CpuContext, public Callee
     std::vector<Tick> chargeTable_;
     double chargeTableCpi_ = -1.0;
 
-    /** hitChargeTable_[c] = llround(c * hitLatencyVisibility *
+    /** hitChargeTable_[c] = llround(c * kHitLatencyVisibility *
      *  cpuPeriod), the tick charge of a c-cycle cache hit, for c in
      *  [0, L1 hit + L2 hit]: every cache-hit latency the hierarchy
      *  reports.  Fixed at construction, so a hit costs a table load,

@@ -380,10 +380,8 @@ OooPerBank::pop(int channel, const McRefreshView &view)
 // AdaptiveRefresh
 // ---------------------------------------------------------------------
 
-AdaptiveRefresh::AdaptiveRefresh(const DramDeviceConfig &cfg,
-                                 double utilThreshold)
+AdaptiveRefresh::AdaptiveRefresh(const DramDeviceConfig &cfg)
     : RefreshScheduler(cfg),
-      utilThreshold_(utilThreshold),
       tRfc4x_(static_cast<Tick>(
           static_cast<double>(cfg.timings.tRFCab) / 1.63)),
       rowsPerCmd1x_(cfg.timings.rowsPerRefresh),
@@ -423,7 +421,7 @@ AdaptiveRefresh::pop(int channel, const McRefreshView &view)
     // when the channel is saturated, 1x minimises total refresh time
     // (4x pays the 1.63x tRFC-scaling tax four times per tREFI).
     const double util = view.channelUtilization(channel);
-    cur.mode = (util < utilThreshold_) ? FgrMode::x4 : FgrMode::x1;
+    cur.mode = (util < kUtilThreshold) ? FgrMode::x4 : FgrMode::x1;
 
     const bool fine = (cur.mode == FgrMode::x4);
     const std::uint64_t rows =

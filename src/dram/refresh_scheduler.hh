@@ -285,16 +285,7 @@ class OooPerBank final : public RefreshScheduler
 class AdaptiveRefresh final : public RefreshScheduler
 {
   public:
-    /**
-     * @param utilThreshold switch to 4x mode only when channel
-     * utilization is below this value.  4x pays the sub-linear
-     * tRFC-scaling tax (1.63x) four times per tREFI, so it only wins
-     * in near-idle epochs where its short blocks dodge the rare
-     * request; any substantial traffic wants 1x (Mukundan et al.'s
-     * high-density observation).
-     */
-    explicit AdaptiveRefresh(const DramDeviceConfig &cfg,
-                             double utilThreshold = 0.02);
+    explicit AdaptiveRefresh(const DramDeviceConfig &cfg);
 
     RefreshPolicy policy() const override
     {
@@ -322,7 +313,15 @@ class AdaptiveRefresh final : public RefreshScheduler
 
     void rollWindow(ChannelCursor &cur, Tick now) const;
 
-    double utilThreshold_;
+    /**
+     * Switch to 4x mode only when channel utilization is below this
+     * value.  4x pays the sub-linear tRFC-scaling tax (1.63x) four
+     * times per tREFI, so it only wins in near-idle epochs where its
+     * short blocks dodge the rare request; any substantial traffic
+     * wants 1x (Mukundan et al.'s high-density observation).
+     */
+    static constexpr double kUtilThreshold = 0.02;
+
     Tick tRfc4x_;
     std::uint64_t rowsPerCmd1x_;
     std::vector<ChannelCursor> cursors_;

@@ -146,20 +146,11 @@ MemoryController::setChannelLane(int channel, EventQueue *lane)
 }
 
 void
-MemoryController::requestRetryNotification(std::function<void()> cb)
+MemoryController::requestRetryNotification(Callee &callee,
+                                           std::uint64_t arg0,
+                                           std::uint64_t arg1)
 {
-    retryWaiters_.push_back(std::move(cb));
-}
-
-void
-MemoryController::notifyRetry()
-{
-    if (retryWaiters_.empty())
-        return;
-    std::vector<std::function<void()>> waiters;
-    waiters.swap(retryWaiters_);
-    for (auto &w : waiters)
-        w();
+    retryWaiters_.push_back(RetryWaiter{&callee, arg0, arg1});
 }
 
 int
@@ -714,7 +705,7 @@ MemoryController::serveQueue(Channel &c, int ch, bool isWriteQueue,
         noteQueuedRequest(c, bankIdx, r.coord.row, !isWriteQueue, -1);
         accrueOccupancy(c, now);
         q.erase(slot);
-        notifyRetry();
+        fireRetryWaiters(retryWaiters_, now);
         return true;
     };
 
@@ -740,16 +731,16 @@ MemoryController::serveQueue(Channel &c, int ch, bool isWriteQueue,
     // proceed as usual (the cap is a priority, not a barrier).  The
     // gate checks are the passes' own, so a rejected promotion folds
     // exactly the wake the matching pass would.
-    if (!isWriteQueue && params_.readStarvationThreshold > 0) {
+    if (!isWriteQueue) {
         const std::uint32_t fs = q.front();
         const Request &fr = q.request(fs);
         const int fIdx = bankIndex(fr.coord.rank, fr.coord.bank);
-        if (now - fr.enqueuedAt < params_.readStarvationThreshold) {
+        if (now - fr.enqueuedAt < kReadStarvationThreshold) {
             // Not starved yet: wake at the promotion tick so the
             // threshold crossing is never slept through (an early
             // wake that changes nothing simply re-sleeps).
             foldWake(wake, now,
-                     fr.enqueuedAt + params_.readStarvationThreshold);
+                     fr.enqueuedAt + kReadStarvationThreshold);
         } else if (!bankBlocked(fIdx)) {
             const Bank &fb = bankState(fIdx);
             if (!fb.isOpen()) {

@@ -44,7 +44,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -102,19 +101,6 @@ struct ControllerParams
      * fresh refresh command.
      */
     bool refreshPausing = false;
-
-    /**
-     * FR-FCFS starvation cap for reads (ticks; 0 disables).  The CPU
-     * retires in order, so a read bypassed indefinitely by younger
-     * row hits blocks its core no matter how much bandwidth the
-     * channel sustains.  Once the oldest queued read has waited this
-     * long, its next command (CAS, ACT, or even a precharge of a row
-     * younger requests still want) issues ahead of any younger hit.
-     * 256 DDR3-1600 clocks, ~8x the mean loaded read latency:
-     * healthy FR-FCFS reordering never reaches it, a pathological
-     * hit streak is bounded by it.
-     */
-    Tick readStarvationThreshold = 320000;
 
     /**
      * Idle-row auto-close timeout for the Open page policy (ticks;
@@ -177,8 +163,8 @@ class MemoryController : public MemoryPort,
      */
     bool enqueue(Request req) override;
 
-    /** One-shot callback fired when queue space frees up. */
-    void requestRetryNotification(std::function<void()> cb) override;
+    void requestRetryNotification(Callee &callee, std::uint64_t arg0,
+                                  std::uint64_t arg1) override;
 
     /**
      * Move @p channel onto its own event-queue lane (sharded
@@ -477,12 +463,23 @@ class MemoryController : public MemoryPort,
      *  deliver its completion at @p dataAt. */
     void completeRead(Channel &c, Request &req, Tick dataAt);
     void rollUtilizationEpoch(Channel &c);
-    void notifyRetry();
-
     int bankIndex(int rank, int bank) const
     {
         return rank * cfg_.org.banksPerRank + bank;
     }
+
+    /**
+     * FR-FCFS starvation cap for reads (ticks).  The CPU retires in
+     * order, so a read bypassed indefinitely by younger row hits
+     * blocks its core no matter how much bandwidth the channel
+     * sustains.  Once the oldest queued read has waited this long,
+     * its next command (CAS, ACT, or even a precharge of a row
+     * younger requests still want) issues ahead of any younger hit.
+     * 256 DDR3-1600 clocks, ~8x the mean loaded read latency:
+     * healthy FR-FCFS reordering never reaches it, a pathological
+     * hit streak is bounded by it.
+     */
+    static constexpr Tick kReadStarvationThreshold = 320000;
 
     EventQueue &eq_;
     dram::DramDeviceConfig cfg_;
@@ -491,7 +488,7 @@ class MemoryController : public MemoryPort,
     ControllerParams params_;
     ClockDomain clock_;
     std::vector<Channel> channels_;
-    std::vector<std::function<void()>> retryWaiters_;
+    std::vector<RetryWaiter> retryWaiters_;
     Tick epochLength_;
     validate::Probe *probe_ = nullptr;
     CompletionSink *completionSink_ = nullptr;

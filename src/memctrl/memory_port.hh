@@ -12,9 +12,11 @@
 #ifndef REFSCHED_MEMCTRL_MEMORY_PORT_HH
 #define REFSCHED_MEMCTRL_MEMORY_PORT_HH
 
-#include <functional>
+#include <cstdint>
+#include <vector>
 
 #include "memctrl/request.hh"
+#include "simcore/event_queue.hh"
 
 namespace refsched::memctrl
 {
@@ -32,8 +34,37 @@ class MemoryPort
      */
     virtual bool enqueue(Request req) = 0;
 
-    /** One-shot callback fired when queue space frees up. */
-    virtual void requestRetryNotification(std::function<void()> cb) = 0;
+    /**
+     * One-shot notification when queue space frees up: the port calls
+     * `callee.fire(now, arg0, arg1)` synchronously, waiters in
+     * registration order, with @p now the tick of the issuing side's
+     * event queue.
+     */
+    virtual void requestRetryNotification(Callee &callee,
+                                          std::uint64_t arg0,
+                                          std::uint64_t arg1) = 0;
+
+  protected:
+    /** A registered retry notification. */
+    struct RetryWaiter
+    {
+        Callee *callee;
+        std::uint64_t arg0;
+        std::uint64_t arg1;
+    };
+
+    /** Fire and clear @p waiters in registration order.  Waiters that
+     *  register again while firing are kept for the next round. */
+    static void
+    fireRetryWaiters(std::vector<RetryWaiter> &waiters, Tick now)
+    {
+        if (waiters.empty())
+            return;
+        std::vector<RetryWaiter> due;
+        due.swap(waiters);
+        for (const RetryWaiter &w : due)
+            w.callee->fire(now, w.arg0, w.arg1);
+    }
 };
 
 } // namespace refsched::memctrl

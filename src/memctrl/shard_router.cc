@@ -33,11 +33,13 @@ ShardRouter::enqueue(Request req)
 }
 
 void
-ShardRouter::requestRetryNotification(std::function<void()> cb)
+ShardRouter::requestRetryNotification(Callee &callee,
+                                      std::uint64_t arg0,
+                                      std::uint64_t arg1)
 {
     // Unreachable through the cores (enqueue never refuses), kept
     // functional for robustness: fire at the next boundary.
-    retryWaiters_.push_back(std::move(cb));
+    retryWaiters_.push_back(RetryWaiter{&callee, arg0, arg1});
 }
 
 void
@@ -100,12 +102,8 @@ ShardRouter::onBoundary(Tick boundary)
         }
     }
 
-    if (!retryWaiters_.empty()) {
-        std::vector<std::function<void()>> waiters;
-        waiters.swap(retryWaiters_);
-        for (auto &w : waiters)
-            w();
-    }
+    // Waiters live on the main lane, with the cores.
+    fireRetryWaiters(retryWaiters_, kernel_.mainLane().now());
 }
 
 std::size_t

@@ -56,7 +56,8 @@ class ShardRouter final : public MemoryPort,
 
     // --- MemoryPort (issuing core's lane / main lane) ---
     bool enqueue(Request req) override;
-    void requestRetryNotification(std::function<void()> cb) override;
+    void requestRetryNotification(Callee &callee, std::uint64_t arg0,
+                                  std::uint64_t arg1) override;
 
     // --- CompletionSink (controller's lane) ---
     void complete(int channel, int coreId, Tick when, Callee &callee,
@@ -92,7 +93,7 @@ class ShardRouter final : public MemoryPort,
     ShardKernel &kernel_;
     MemoryController &mc_;
     std::vector<LaneBox> boxes_;
-    std::vector<std::function<void()>> retryWaiters_;
+    std::vector<RetryWaiter> retryWaiters_;
 };
 
 } // namespace refsched::memctrl

@@ -39,9 +39,8 @@ ScenarioDirector::start(const std::vector<Task *> &initialTasks)
     // expiry handler at the same tick, so churn acts on settled
     // runqueues and the new masks/placements are visible to the very
     // next pick.
-    eq_.schedule(
-        base_ + quantum, [this] { onBoundary(1); },
-        EventPriority::StatDump);
+    eq_.schedule(base_ + quantum, *this, kBoundaryCookie, 1,
+                 EventPriority::StatDump);
 }
 
 void
@@ -163,9 +162,8 @@ ScenarioDirector::onBoundary(std::uint64_t k)
         issueCopyReads();
     }
 
-    eq_.schedule(
-        base_ + (k + 1) * quantum, [this, k] { onBoundary(k + 1); },
-        EventPriority::StatDump);
+    eq_.schedule(base_ + (k + 1) * quantum, *this, kBoundaryCookie,
+                 k + 1, EventPriority::StatDump);
 }
 
 void
@@ -249,17 +247,26 @@ ScenarioDirector::armRetry()
     if (retryArmed_)
         return;
     retryArmed_ = true;
-    mem_.requestRetryNotification([this] {
+    mem_.requestRetryNotification(*this, kRetryCookie, 0);
+}
+
+void
+ScenarioDirector::fire(Tick, std::uint64_t a0, std::uint64_t a1)
+{
+    if (a0 == kBoundaryCookie) {
+        onBoundary(a1);
+    } else if (a0 == kRetryCookie) {
         retryArmed_ = false;
         flushPendingWrites();
         if (pendingWrites_.empty())
             issueCopyReads();
-    });
+    } else {
+        onCopyRead(a0, a1);
+    }
 }
 
 void
-ScenarioDirector::fire(Tick now, std::uint64_t jobIdx,
-                       std::uint64_t lineIdx)
+ScenarioDirector::onCopyRead(std::uint64_t jobIdx, std::uint64_t lineIdx)
 {
     MigrationJob &job = jobs_[jobIdx];
 
@@ -296,7 +303,6 @@ ScenarioDirector::fire(Tick now, std::uint64_t jobIdx,
         // No request names this job any more: its slot is free.
         freeJobs_.push_back(jobIdx);
     }
-    (void)now;
     issueCopyReads();
 }
 

@@ -92,10 +92,10 @@ class ScenarioDirector final : public Callee
      *  first boundary.  Call after Scheduler::start(). */
     void start(const std::vector<Task *> &initialTasks);
 
-    /** Migration-copy read completions (cookie0 = job slot,
-     *  cookie1 = line index). */
-    void fire(Tick now, std::uint64_t jobIdx,
-              std::uint64_t lineIdx) override;
+    /** Quantum boundaries (arg0 = kBoundaryCookie, arg1 = k), the
+     *  memory-port retry (arg0 = kRetryCookie) and migration-copy
+     *  read completions (arg0 = job slot, arg1 = line index). */
+    void fire(Tick now, std::uint64_t a0, std::uint64_t a1) override;
 
     void registerStats(StatRegistry &reg, const std::string &prefix);
 
@@ -132,7 +132,12 @@ class ScenarioDirector final : public Callee
         int linesDone = 0;
     };
 
+    /** Reserved arg0 values; job slots never reach them. */
+    static constexpr std::uint64_t kBoundaryCookie = ~std::uint64_t{0};
+    static constexpr std::uint64_t kRetryCookie = kBoundaryCookie - 1;
+
     void onBoundary(std::uint64_t k);
+    void onCopyRead(std::uint64_t jobIdx, std::uint64_t lineIdx);
     void finalizeKill(Task *task);
     void migrateStalePages(Task *task);
     void issueCopyReads();

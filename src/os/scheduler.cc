@@ -157,9 +157,7 @@ Scheduler::start()
     REFSCHED_ASSERT(!started_, "scheduler already started");
     REFSCHED_ASSERT(!cpus_.empty(), "no CPUs attached");
     started_ = true;
-    eq_.schedule(
-        eq_.now(), [this] { onQuantumExpiry(); },
-        EventPriority::Scheduler);
+    eq_.schedule(eq_.now(), *this, 0, 0, EventPriority::Scheduler);
 }
 
 bool
@@ -290,10 +288,8 @@ Scheduler::pickNextTask(int cpu, const std::vector<int> &refreshBanks)
 }
 
 void
-Scheduler::onQuantumExpiry()
+Scheduler::fire(Tick now, std::uint64_t, std::uint64_t)
 {
-    const Tick now = eq_.now();
-
     // Charge and re-enqueue the outgoing tasks.
     for (std::size_t cpu = 0; cpu < cpus_.size(); ++cpu) {
         Task *cur = current_[cpu];
@@ -332,9 +328,8 @@ Scheduler::onQuantumExpiry()
         cpus_[cpu]->setTask(next, now + params_.quantum);
     }
 
-    eq_.schedule(
-        now + params_.quantum, [this] { onQuantumExpiry(); },
-        EventPriority::Scheduler);
+    eq_.schedule(now + params_.quantum, *this, 0, 0,
+                 EventPriority::Scheduler);
 }
 
 Tick

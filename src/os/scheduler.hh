@@ -64,7 +64,7 @@ struct SchedulerParams
     bool bestEffort = true;
 };
 
-class Scheduler
+class Scheduler final : public Callee
 {
   public:
     Scheduler(EventQueue &eq, const SchedulerParams &params);
@@ -137,8 +137,10 @@ class Scheduler
     Scalar bestEffortPicks; ///< eta exhausted -> min-resident task
     Scalar idleQuanta;      ///< a CPU had no runnable task
 
+    /** Callee: the quantum-expiry event (no arguments). */
+    void fire(Tick now, std::uint64_t, std::uint64_t) override;
+
   private:
-    void onQuantumExpiry();
 
     void emitRq(void (validate::Probe::*hook)(const validate::RqEvent &),
                 int cpu, const Task *task);

@@ -19,22 +19,6 @@ EventQueue::allocSlot()
 }
 
 EventHandle
-EventQueue::schedule(Tick when, Callback cb, EventPriority prio)
-{
-    REFSCHED_ASSERT(when >= curTick, "event scheduled in the past: ",
-                    when, " < ", curTick);
-    const std::uint32_t idx = allocSlot();
-    Slot &s = slotAt(idx);
-    s.cb = std::move(cb);
-    heapPush(Entry{when,
-                   (static_cast<std::uint64_t>(prio) << kPrioShift)
-                       | nextSeq++,
-                   idx, s.gen});
-    ++live;
-    return EventHandle(this, idx, s.gen);
-}
-
-EventHandle
 EventQueue::schedule(Tick when, Callee &callee, std::uint64_t arg0,
                      std::uint64_t arg1, EventPriority prio)
 {
@@ -86,24 +70,17 @@ void
 EventQueue::execEntry(const Entry &e)
 {
     curTick = e.when;
-    // Move the payload out and retire the slot before invoking: the
-    // callback may schedule new events (possibly reusing this very
+    // Copy the triple out and retire the slot before invoking: the
+    // callee may schedule new events (possibly reusing this very
     // slot) or cancel its own, already-dead handle harmlessly.
-    Slot &s = slotAt(e.slot);
-    if (Callee *callee = s.callee) {
-        const std::uint64_t a0 = s.arg0;
-        const std::uint64_t a1 = s.arg1;
-        retireSlot(e.slot);
-        --live;
-        ++executed;
-        callee->fire(curTick, a0, a1);
-        return;
-    }
-    Callback cb = std::move(s.cb);
+    const Slot &s = slotAt(e.slot);
+    Callee *callee = s.callee;
+    const std::uint64_t a0 = s.arg0;
+    const std::uint64_t a1 = s.arg1;
     retireSlot(e.slot);
     --live;
     ++executed;
-    cb();
+    callee->fire(curTick, a0, a1);
 }
 
 bool

@@ -2,21 +2,24 @@
  * @file
  * The discrete-event simulation kernel.
  *
- * A single EventQueue orders callbacks by (tick, priority, sequence).
+ * A single EventQueue orders events by (tick, priority, sequence).
  * Sequence numbers make scheduling deterministic: two events at the
  * same tick and priority fire in the order they were scheduled.
  * Events may be cancelled through the EventHandle returned at
  * scheduling time; cancellation is O(1).
  *
- * Storage: event callbacks live in slab-allocated slots that are
+ * There is one kind of event: a (Callee&, arg0, arg1) triple, fired
+ * as `callee.fire(tick, arg0, arg1)`.  The triple is plain data, so
+ * every event has a receiving class and carries no owned resources.
+ *
+ * Storage: event triples live in slab-allocated slots that are
  * recycled through a free list, so steady-state schedule/cancel/fire
- * cycles perform no heap allocation (small callbacks reuse the
- * std::function small-buffer storage of their recycled slot).  A
- * per-slot generation counter makes EventHandle validity checks O(1)
- * without per-event shared_ptr control blocks: a handle is pending
- * iff its remembered generation still matches the slot's.  Cancelled
- * slots are recycled immediately; their stale heap entries are
- * skipped when they surface at the top of the priority queue.
+ * cycles perform no heap allocation.  A per-slot generation counter
+ * makes EventHandle validity checks O(1) without per-event
+ * shared_ptr control blocks: a handle is pending iff its remembered
+ * generation still matches the slot's.  Cancelled slots are recycled
+ * immediately; their stale heap entries are skipped when they
+ * surface at the top of the priority queue.
  *
  * Handles must not outlive their EventQueue (they hold a plain
  * back-pointer); in practice handles are owned by components that
@@ -27,7 +30,6 @@
 #define REFSCHED_SIMCORE_EVENT_QUEUE_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -53,13 +55,13 @@ enum class EventPriority : int
 };
 
 /**
- * Intrusive event receiver: the allocation-free alternative to a
- * std::function callback.  A scheduled (callee, arg0, arg1) triple is
- * stored as plain data inside the event slot, so scheduling one never
- * heap-allocates no matter how much context the receiver needs -- the
- * receiver IS the context, and the two 64-bit cookies carry the
- * per-event payload (an epoch, an index, a pointer...).  The hot
- * request-completion path (memctrl -> cpu::Core) runs on this.
+ * Intrusive event receiver, the only kind of deferred call.  A
+ * scheduled (callee, arg0, arg1) triple is stored as plain data
+ * inside the event slot, so scheduling one never heap-allocates no
+ * matter how much context the receiver needs -- the receiver IS the
+ * context, and the two 64-bit cookies carry the per-event payload
+ * (an epoch, an index, a reserved kind tag...).  Memory-port retry
+ * notifications use the same triple.
  *
  * The callee must outlive the scheduled event (or cancel it); callees
  * are long-lived components the queue's owner also owns.
@@ -108,8 +110,6 @@ class EventHandle
 class EventQueue
 {
   public:
-    using Callback = std::function<void()>;
-
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -118,30 +118,14 @@ class EventQueue
     Tick now() const { return curTick; }
 
     /**
-     * Schedule @p cb to fire at absolute tick @p when.
-     * Scheduling in the past is a panic (simulator bug).
-     */
-    EventHandle schedule(Tick when, Callback cb,
-                         EventPriority prio = EventPriority::Default);
-
-    /**
-     * Schedule an intrusive event: at @p when, invoke
-     * `callee.fire(when, arg0, arg1)`.  Never allocates beyond the
-     * slot pool (the triple is stored as POD in the slot), unlike the
-     * Callback overload whose captures can spill past std::function's
-     * small-buffer optimisation.
+     * At absolute tick @p when, invoke `callee.fire(when, arg0,
+     * arg1)`.  Never allocates beyond the slot pool: the triple is
+     * stored as POD in the slot.  Scheduling in the past is a panic
+     * (simulator bug).
      */
     EventHandle schedule(Tick when, Callee &callee,
                          std::uint64_t arg0, std::uint64_t arg1,
                          EventPriority prio = EventPriority::Default);
-
-    /** Schedule @p cb to fire @p delta ticks from now. */
-    EventHandle
-    scheduleIn(Tick delta, Callback cb,
-               EventPriority prio = EventPriority::Default)
-    {
-        return schedule(curTick + delta, std::move(cb), prio);
-    }
 
     /** True if no live events remain. */
     bool empty() const;
@@ -173,20 +157,17 @@ class EventQueue
     static constexpr std::uint32_t kNoSlot = 0xffffffffu;
     static constexpr std::size_t kSlabSize = 256;
 
-    /**
-     * Pooled event storage.  The callback object is reused across
-     * recycles: assigning a new small callable into a moved-from
-     * std::function reuses its inline buffer, so no allocation.
-     */
+    /** Pooled event storage: the scheduled triple plus the
+     *  generation and free-list link. */
     struct Slot
     {
-        Callback cb;
         Callee *callee = nullptr;
         std::uint64_t arg0 = 0;
         std::uint64_t arg1 = 0;
         std::uint32_t gen = 0;
         std::uint32_t nextFree = kNoSlot;
     };
+    static_assert(sizeof(Slot) == 32, "an event slot holds no callable");
 
     /**
      * Heap entry; points into the slot pool, no owned resources.
@@ -246,7 +227,6 @@ class EventQueue
     {
         Slot &s = slotAt(idx);
         ++s.gen;
-        s.cb = nullptr;
         s.callee = nullptr;
         s.nextFree = freeHead;
         freeHead = idx;

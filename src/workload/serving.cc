@@ -1,10 +1,12 @@
 #include "workload/serving.hh"
 
 #include <algorithm>
+#include <climits>
 #include <sstream>
 
 #include "os/task.hh"
 #include "simcore/logging.hh"
+#include "workload/profile.hh"
 
 namespace refsched::workload
 {
@@ -43,22 +45,30 @@ ServingConfig::parse(const std::string &spec)
             fatal("serving spec entry has no '=': ", kv);
         const std::string key = kv.substr(0, eq);
         const std::string val = kv.substr(eq + 1);
+        const std::string what = "serving spec " + key;
+        const auto real = [&] {
+            return parseFiniteToken(val, what.c_str());
+        };
+        const auto integer = [&] {
+            return static_cast<int>(
+                parseSignedToken(val, what.c_str(), 0, INT_MAX));
+        };
         if (key == "arrival")
             cfg.shape.kind = arrivalKindFromString(val);
         else if (key == "load")
-            cfg.loadReqPerUs = std::stod(val);
+            cfg.loadReqPerUs = real();
         else if (key == "pool")
-            cfg.poolSize = std::stoi(val);
+            cfg.poolSize = integer();
         else if (key == "queue")
-            cfg.queueCapacity = std::stoi(val);
+            cfg.queueCapacity = integer();
         else if (key == "lines")
-            cfg.linesPerRequest = std::stoi(val);
+            cfg.linesPerRequest = integer();
         else if (key == "burst-ratio")
-            cfg.shape.burstRatio = std::stod(val);
+            cfg.shape.burstRatio = real();
         else if (key == "burst-frac")
-            cfg.shape.burstFraction = std::stod(val);
+            cfg.shape.burstFraction = real();
         else if (key == "burst-dwell")
-            cfg.shape.burstDwellArrivals = std::stod(val);
+            cfg.shape.burstDwellArrivals = real();
         else
             fatal("unknown serving spec key: ", key);
     }
@@ -134,6 +144,15 @@ ServingInjector::fire(Tick now, std::uint64_t a0, std::uint64_t a1)
 {
     if (a0 == kArrivalCookie) {
         onArrival(now);
+        return;
+    }
+    if (a0 == kRetryCookie) {
+        retryArmed_ = false;
+        for (std::size_t i = 0; i < slots_.size(); ++i) {
+            if (slots_[i].busy
+                && slots_[i].nextIssue < cfg_.linesPerRequest)
+                issueLines(i);
+        }
         return;
     }
     onLineDone(now, static_cast<std::size_t>(a0),
@@ -243,14 +262,7 @@ ServingInjector::armRetry()
         return;
     retryArmed_ = true;
     ++retryWaits_;
-    mem_.requestRetryNotification([this] {
-        retryArmed_ = false;
-        for (std::size_t i = 0; i < slots_.size(); ++i) {
-            if (slots_[i].busy
-                && slots_[i].nextIssue < cfg_.linesPerRequest)
-                issueLines(i);
-        }
-    });
+    mem_.requestRetryNotification(*this, kRetryCookie, 0);
 }
 
 void

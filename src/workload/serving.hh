@@ -88,7 +88,9 @@ struct ServingConfig
      * Parse the CLI/fuzzer spec form: comma-separated key=value of
      * arrival=poisson|mmpp, load=<req/us>, pool=<n>, queue=<n>,
      * lines=<n>, burst-ratio=<x>, burst-frac=<x>, burst-dwell=<x>.
-     * Unknown keys are fatal; the result has enabled = true.
+     * Each value must be one whole, finite number (an int for the
+     * integer keys); unknown keys and malformed values are fatal,
+     * naming the key.  The result has enabled = true.
      */
     static ServingConfig parse(const std::string &spec);
 
@@ -123,8 +125,9 @@ class ServingInjector final : public Callee
     /** Register serving.* stats under @p prefix. */
     void registerStats(StatRegistry &reg, const std::string &prefix);
 
-    /** Arrival events (cookie0 = kArrivalCookie) and per-line read
-     *  completions (cookie0 = slot, cookie1 = line index). */
+    /** Arrival events (cookie0 = kArrivalCookie), the memory-port
+     *  retry (cookie0 = kRetryCookie) and per-line read completions
+     *  (cookie0 = slot, cookie1 = line index). */
     void fire(Tick now, std::uint64_t a0, std::uint64_t a1) override;
 
     // --- Accounting access (benches, tests) ---
@@ -149,8 +152,10 @@ class ServingInjector final : public Callee
     std::size_t backlogDepth() const { return backlog_.size(); }
 
   private:
-    /** cookie0 marker distinguishing arrivals from completions. */
+    /** cookie0 markers distinguishing arrivals and retries from
+     *  completions. */
     static constexpr std::uint64_t kArrivalCookie = ~std::uint64_t{0};
+    static constexpr std::uint64_t kRetryCookie = kArrivalCookie - 1;
 
     struct Slot
     {

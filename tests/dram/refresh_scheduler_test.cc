@@ -358,7 +358,7 @@ TEST(OooPerBankTest, ExhaustedBankNotChosenAgain)
 TEST(AdaptiveRefreshTest, SwitchesModeWithUtilization)
 {
     const auto dev = cfg();
-    AdaptiveRefresh sched(dev, 0.35);
+    AdaptiveRefresh sched(dev);
     FakeView view;
 
     view.util = 0.9;  // saturated channel -> coarse 1x mode
@@ -366,7 +366,7 @@ TEST(AdaptiveRefreshTest, SwitchesModeWithUtilization)
     EXPECT_EQ(sched.currentMode(0), FgrMode::x1);
     EXPECT_EQ(cmd.tRFC, dev.timings.tRFCab);
 
-    view.util = 0.05;  // idle channel -> fine 4x mode
+    view.util = 0.01;  // near-idle channel (< 2 %) -> fine 4x mode
     cmd = sched.pop(0, view);
     EXPECT_EQ(sched.currentMode(0), FgrMode::x4);
     EXPECT_EQ(cmd.tRFC,
@@ -377,7 +377,7 @@ TEST(AdaptiveRefreshTest, SwitchesModeWithUtilization)
 TEST(AdaptiveRefreshTest, FourXModeQuadruplesCadence)
 {
     const auto dev = cfg();
-    AdaptiveRefresh sched(dev, 0.35);
+    AdaptiveRefresh sched(dev);
     FakeView view;
     view.util = 0.0;
 

@@ -39,29 +39,22 @@ struct LatencyRecorder : Callee
     }
 };
 
-class ControllerStressTest
-    : public ::testing::TestWithParam<RefreshPolicy>
+/**
+ * Bursty injector: alternates hot phases (every ~6 ns) and idle
+ * gaps, mixing reads and writes over random and repeated rows, and
+ * reschedules itself until @p cutoff.
+ */
+struct BurstyInjector final : Callee
 {
-};
+    BurstyInjector(EventQueue &q, MemoryController &m,
+                   const dram::DramDeviceConfig &d, Tick cut)
+        : eq(q), mc(m), dev(d), cutoff(cut)
+    {
+    }
 
-TEST_P(ControllerStressTest, RandomTrafficInvariants)
-{
-    const auto dev = dram::makeDdr3_1600(
-        dram::DensityGb::d32, milliseconds(64.0), 128);
-    EventQueue eq;
-    MemoryController mc(eq, dev,
-                        dram::makeRefreshScheduler(GetParam(), dev));
-    Rng rng(2024);
-
-    std::uint64_t acceptedReads = 0;
-    std::uint64_t rejectedReads = 0;
-    std::uint64_t acceptedWrites = 0;
-    LatencyRecorder rec;
-
-    // Bursty injector: alternates hot phases (every ~6 ns) and idle
-    // gaps, mixing reads and writes over random and repeated rows.
-    std::uint64_t readId = 0;
-    std::function<void(Tick)> inject = [&](Tick t) {
+    void
+    fire(Tick t, std::uint64_t, std::uint64_t) override
+    {
         const bool isWrite = rng.bernoulli(0.3);
         Addr addr;
         if (rng.bernoulli(0.4)) {
@@ -91,20 +84,44 @@ TEST_P(ControllerStressTest, RandomTrafficInvariants)
         const Tick gap = rng.bernoulli(0.02)
             ? nanoseconds(400.0)         // idle period
             : nanoseconds(4.0) + rng.below(nanoseconds(6.0));
-        const Tick cutoff = dev.timings.tREFW / 4;
-        if (t + gap < cutoff) {
-            eq.schedule(t + gap,
-                        [&inject, t, gap] { inject(t + gap); });
-        }
-    };
-    eq.schedule(0, [&] { inject(0); });
+        if (t + gap < cutoff)
+            eq.schedule(t + gap, *this, 0, 0);
+    }
+
+    EventQueue &eq;
+    MemoryController &mc;
+    const dram::DramDeviceConfig &dev;
+    Tick cutoff;
+    Rng rng{2024};
+    LatencyRecorder rec;
+    std::uint64_t acceptedReads = 0;
+    std::uint64_t rejectedReads = 0;
+    std::uint64_t acceptedWrites = 0;
+    std::uint64_t readId = 0;
+};
+
+class ControllerStressTest
+    : public ::testing::TestWithParam<RefreshPolicy>
+{
+};
+
+TEST_P(ControllerStressTest, RandomTrafficInvariants)
+{
+    const auto dev = dram::makeDdr3_1600(
+        dram::DensityGb::d32, milliseconds(64.0), 128);
+    EventQueue eq;
+    MemoryController mc(eq, dev,
+                        dram::makeRefreshScheduler(GetParam(), dev));
+    BurstyInjector inject(eq, mc, dev, dev.timings.tREFW / 4);
+    const LatencyRecorder &rec = inject.rec;
+    eq.schedule(0, inject, 0, 0);
 
     eq.runUntil(dev.timings.tREFW / 4);
     // Injection has stopped; drain everything still queued.
     eq.runUntil(eq.now() + microseconds(50.0));
 
-    EXPECT_GT(acceptedReads, 1000u);
-    EXPECT_EQ(rec.completions, acceptedReads);
+    EXPECT_GT(inject.acceptedReads, 1000u);
+    EXPECT_EQ(rec.completions, inject.acceptedReads);
     for (const auto &[id, count] : rec.completionsPerRead)
         ASSERT_EQ(count, 1) << "read " << id;
 

@@ -197,10 +197,27 @@ TEST(MemoryControllerTest, RetryNotificationFiresWhenSpaceFrees)
     Harness h;
     for (std::uint64_t i = 0; i < 64; ++i)
         h.read(h.addrOf(0, 0, i));
-    bool retried = false;
-    h.mc.requestRetryNotification([&] { retried = true; });
+    // Two waiters: both fire once, synchronously at the freeing
+    // tick, in registration order, with their own arguments.
+    struct RetryLog final : Callee
+    {
+        void
+        fire(Tick now, std::uint64_t a0, std::uint64_t a1) override
+        {
+            log.push_back({now, a0, a1});
+        }
+        std::vector<std::vector<std::uint64_t>> log;
+    } retries;
+    h.mc.requestRetryNotification(retries, 7, 8);
+    h.mc.requestRetryNotification(retries, 9, 10);
     h.eq.runUntil(microseconds(2));
-    EXPECT_TRUE(retried);
+    ASSERT_EQ(retries.log.size(), 2u);
+    EXPECT_EQ(retries.log[0][0], retries.log[1][0]);
+    EXPECT_GT(retries.log[0][0], 0u);
+    EXPECT_EQ(retries.log[0][1], 7u);
+    EXPECT_EQ(retries.log[0][2], 8u);
+    EXPECT_EQ(retries.log[1][1], 9u);
+    EXPECT_EQ(retries.log[1][2], 10u);
 }
 
 TEST(MemoryControllerTest, WritesArePostedAndDrainAtHighWatermark)
@@ -431,22 +448,35 @@ TEST(MemoryControllerRefreshTest, PausedRowsAreEventuallyRefreshed)
         dram::makeRefreshScheduler(RefreshPolicy::PerBankRoundRobin,
                                    dev),
         params);
-    Rng rng(5);
 
     // Sporadic random reads to provoke pauses throughout a window.
-    std::function<void(Tick)> inject = [&](Tick t) {
-        Request r;
-        r.paddr = rng.below(dev.org.totalBytes() / 64) * 64;
-        r.type = Request::Type::Read;
-        // Fire-and-forget: a null completion is valid.
-        mc.enqueue(std::move(r));
-        const Tick gap = nanoseconds(150.0);
-        if (t + gap < dev.timings.tREFW)
-            eq.schedule(t + gap, [&inject, t, gap] {
-                inject(t + gap);
-            });
-    };
-    eq.schedule(0, [&] { inject(0); });
+    struct Injector final : Callee
+    {
+        Injector(EventQueue &q, MemoryController &m,
+                 const dram::DramDeviceConfig &d)
+            : eq(q), mc(m), dev(d)
+        {
+        }
+
+        void
+        fire(Tick t, std::uint64_t, std::uint64_t) override
+        {
+            Request r;
+            r.paddr = rng.below(dev.org.totalBytes() / 64) * 64;
+            r.type = Request::Type::Read;
+            // Fire-and-forget: a null completion is valid.
+            mc.enqueue(std::move(r));
+            const Tick gap = nanoseconds(150.0);
+            if (t + gap < dev.timings.tREFW)
+                eq.schedule(t + gap, *this, 0, 0);
+        }
+
+        EventQueue &eq;
+        MemoryController &mc;
+        const dram::DramDeviceConfig &dev;
+        Rng rng{5};
+    } inject(eq, mc, dev);
+    eq.schedule(0, inject, 0, 0);
 
     eq.runUntil(dev.timings.tREFW + microseconds(5.0));
     const double expected = static_cast<double>(

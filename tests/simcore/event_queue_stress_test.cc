@@ -22,6 +22,19 @@ namespace refsched
 namespace
 {
 
+/** Logs the arg0 (an event id) of every firing, in firing order. */
+class Recorder final : public Callee
+{
+  public:
+    void
+    fire(Tick, std::uint64_t id, std::uint64_t) override
+    {
+        ids.push_back(static_cast<int>(id));
+    }
+
+    std::vector<int> ids;
+};
+
 /** One pending event in the reference model. */
 struct ModelEvent
 {
@@ -94,9 +107,8 @@ class StressDriver
         const Tick when = eq_.now() + rng_.below(3000);
         const auto prio = kPrios[rng_.below(4)];
         const int id = nextId_++;
-        auto handle =
-            eq_.schedule(when, [this, id] { fired_.push_back(id); },
-                         prio);
+        auto handle = eq_.schedule(
+            when, fired_, static_cast<std::uint64_t>(id), 0, prio);
         model_.push_back(
             {when, static_cast<int>(prio), nextSeq_++, id});
         handles_.push_back(std::move(handle));
@@ -143,12 +155,12 @@ class StressDriver
             (ev.when <= until ? due : left).push_back(ev);
         std::sort(due.begin(), due.end(), firesBefore);
 
-        fired_.clear();
+        fired_.ids.clear();
         eq_.runUntil(until);
 
-        ASSERT_EQ(fired_.size(), due.size());
+        ASSERT_EQ(fired_.ids.size(), due.size());
         for (std::size_t i = 0; i < due.size(); ++i)
-            ASSERT_EQ(fired_[i], due[i].id) << "position " << i;
+            ASSERT_EQ(fired_.ids[i], due[i].id) << "position " << i;
 
         // Retain the handles of everything that fired so later
         // operations can cancel them while their slots recycle.
@@ -172,7 +184,7 @@ class StressDriver
     std::vector<ModelEvent> model_;
     std::vector<EventHandle> handles_;
     std::vector<EventHandle> stale_;  ///< handles of fired events
-    std::vector<int> fired_;
+    Recorder fired_;
     int nextId_ = 0;
     std::uint64_t nextSeq_ = 0;
 };
@@ -191,17 +203,16 @@ TEST(EventQueueStressTest, SlotRecyclingSurvivesHeavyChurn)
     EventQueue eq;
     // Far more schedule/cancel cycles than live events: every cycle
     // must recycle slots (a leak would grow the pool unboundedly and
-    // a stale-generation bug would fire a cancelled callback).
-    int fired = 0;
+    // a stale-generation bug would fire a cancelled event).
+    Recorder doomedRec, firedRec;
     for (int round = 0; round < 10'000; ++round) {
-        auto doomed = eq.schedule(eq.now() + 100, [] {
-            FAIL() << "cancelled event fired";
-        });
-        eq.schedule(eq.now() + 1, [&] { ++fired; });
+        auto doomed = eq.schedule(eq.now() + 100, doomedRec, 0, 0);
+        eq.schedule(eq.now() + 1, firedRec, 0, 0);
         doomed.cancel();
         eq.runUntil(eq.now() + 1);
     }
-    EXPECT_EQ(fired, 10'000);
+    EXPECT_TRUE(doomedRec.ids.empty()) << "cancelled event fired";
+    EXPECT_EQ(firedRec.ids.size(), 10'000u);
     EXPECT_TRUE(eq.empty());
     EXPECT_EQ(eq.liveCount(), 0u);
 }
@@ -209,10 +220,10 @@ TEST(EventQueueStressTest, SlotRecyclingSurvivesHeavyChurn)
 TEST(EventQueueStressTest, CancelOfFiredHandleBeforeSlotReuse)
 {
     EventQueue eq;
-    int fired = 0;
-    auto h1 = eq.schedule(10, [&] { ++fired; });
+    Recorder rec;
+    auto h1 = eq.schedule(10, rec, 1, 0);
     eq.runUntil(10);
-    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(rec.ids, std::vector<int>{1});
     EXPECT_FALSE(h1.pending());
 
     // h1's slot now sits on the free list (same generation epoch as
@@ -223,69 +234,96 @@ TEST(EventQueueStressTest, CancelOfFiredHandleBeforeSlotReuse)
 
     // The next schedule reuses that very slot (LIFO free list).  The
     // stale handle must not be able to cancel the new occupant.
-    int fired2 = 0;
-    auto h2 = eq.schedule(20, [&] { ++fired2; });
+    auto h2 = eq.schedule(20, rec, 2, 0);
     h1.cancel();
     EXPECT_TRUE(h2.pending());
     EXPECT_EQ(eq.liveCount(), 1u);
     eq.runUntil(20);
-    EXPECT_EQ(fired2, 1);
+    EXPECT_EQ(rec.ids, (std::vector<int>{1, 2}));
     EXPECT_FALSE(h2.pending());
 }
 
 TEST(EventQueueStressTest, HandleOutlivesFiredSlotReuse)
 {
     EventQueue eq;
-    int fired = 0;
-    auto old = eq.schedule(10, [&] { ++fired; });
+    Recorder rec;
+    auto old = eq.schedule(10, rec, 0, 0);
     eq.runUntil(10);
-    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(rec.ids.size(), 1u);
 
     // The slot is recycled by later events; the stale handle must
     // neither report pending nor cancel its successor.
-    int successors = 0;
+    Recorder successors;
     for (int i = 0; i < 64; ++i)
-        eq.schedule(20, [&] { ++successors; });
+        eq.schedule(20, successors, 0, 0);
     EXPECT_FALSE(old.pending());
     old.cancel();
     eq.runUntil(20);
-    EXPECT_EQ(successors, 64);
+    EXPECT_EQ(successors.ids.size(), 64u);
 }
+
+/** Checks and cancels its own handle from inside fire(). */
+class SelfCanceller final : public Callee
+{
+  public:
+    void
+    fire(Tick, std::uint64_t, std::uint64_t) override
+    {
+        ++fired;
+        // Firing retires the slot before fire() runs, so a handle to
+        // the event being executed is already stale.
+        EXPECT_FALSE(self.pending());
+        self.cancel();
+    }
+
+    EventHandle self;
+    int fired = 0;
+};
 
 TEST(EventQueueStressTest, SelfCancelDuringCallbackIsSafe)
 {
     EventQueue eq;
-    int fired = 0;
-    EventHandle self;
-    self = eq.schedule(10, [&] {
-        ++fired;
-        // Firing retires the slot before the callback runs, so a
-        // handle to the event being executed is already stale.
-        EXPECT_FALSE(self.pending());
-        self.cancel();
-    });
+    SelfCanceller c;
+    c.self = eq.schedule(10, c, 0, 0);
     eq.runUntil(10);
-    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(c.fired, 1);
 }
+
+/** Logs arg0; on arg0 == 0 it also cancels `sibling` and schedules
+ *  arg0 = 3 at the same tick. */
+class Rescheduler final : public Callee
+{
+  public:
+    explicit Rescheduler(EventQueue &q) : eq(q) {}
+
+    void
+    fire(Tick now, std::uint64_t id, std::uint64_t) override
+    {
+        order.push_back(static_cast<int>(id));
+        if (id == 0) {
+            sibling.cancel();
+            eq.schedule(now, *this, 3, 0);
+        }
+    }
+
+    EventQueue &eq;
+    EventHandle sibling;
+    std::vector<int> order;
+};
 
 TEST(EventQueueStressTest, RescheduleFromCallbackKeepsOrdering)
 {
     EventQueue eq;
-    std::vector<int> order;
-    EventHandle pending;
-    // A callback cancels a sibling and schedules a replacement at
-    // the same tick; the replacement runs after everything already
+    Rescheduler r(eq);
+    // An event cancels a sibling and schedules a replacement at the
+    // same tick; the replacement runs after everything already
     // queued for that tick (fresh sequence number).
-    eq.schedule(10, [&] {
-        order.push_back(0);
-        pending.cancel();
-        eq.schedule(10, [&] { order.push_back(3); });
-    });
-    pending = eq.schedule(10, [&] { order.push_back(-1); });
-    eq.schedule(10, [&] { order.push_back(1); });
-    eq.schedule(10, [&] { order.push_back(2); });
+    eq.schedule(10, r, 0, 0);
+    r.sibling = eq.schedule(10, r, 99, 0);
+    eq.schedule(10, r, 1, 0);
+    eq.schedule(10, r, 2, 0);
     eq.runUntil(10);
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+    EXPECT_EQ(r.order, (std::vector<int>{0, 1, 2, 3}));
 }
 
 } // namespace

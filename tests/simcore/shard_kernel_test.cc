@@ -24,10 +24,11 @@ namespace
 
 /**
  * Each lane holds one event per window, at the window's first tick.
- * The event counts its runs and records its thread; the boundary
- * hook checks the counts and schedules the next window's events.
+ * The event (arg0 = lane) counts its runs and records its thread;
+ * the boundary hook checks the counts and schedules the next
+ * window's events.
  */
-struct WindowProbe
+struct WindowProbe final : Callee
 {
     explicit WindowProbe(ShardKernel &k)
         : kernel(k),
@@ -49,13 +50,16 @@ struct WindowProbe
     void
     scheduleAll(Tick when)
     {
-        for (int i = 0; i < kernel.laneCount(); ++i) {
-            const auto idx = static_cast<std::size_t>(i);
-            kernel.lane(i).schedule(when, [this, idx] {
-                ++runs[idx];
-                owner[idx] = std::this_thread::get_id();
-            });
-        }
+        for (int i = 0; i < kernel.laneCount(); ++i)
+            kernel.lane(i).schedule(when, *this,
+                                    static_cast<std::uint64_t>(i), 0);
+    }
+
+    void
+    fire(Tick, std::uint64_t lane, std::uint64_t) override
+    {
+        ++runs[lane];
+        owner[lane] = std::this_thread::get_id();
     }
 
     ShardKernel &kernel;
@@ -85,6 +89,18 @@ TEST(ShardKernelTest, EveryLaneRunsOncePerWindowOnItsOwnWorker)
     }
 }
 
+/** Stamps the firing tick into slot arg0. */
+struct Stamper final : Callee
+{
+    void
+    fire(Tick now, std::uint64_t lane, std::uint64_t) override
+    {
+        stamp[lane] = now;
+    }
+
+    std::vector<Tick> stamp = std::vector<Tick>(4, 0);
+};
+
 TEST(ShardKernelTest, BoundarySeesEveryLaneWriteAcrossManyTinyWindows)
 {
     // Epoch 2: after the first window (ticks 0-1) every window is
@@ -95,24 +111,19 @@ TEST(ShardKernelTest, BoundarySeesEveryLaneWriteAcrossManyTinyWindows)
     EventQueue main;
     ShardKernel k(main, 4, /*epoch=*/2);
     k.enableProfile();
-    std::vector<Tick> stamp(4, 0);
+    Stamper stamper;
     std::uint64_t stale = 0;
     std::uint64_t windows = 0;
-    for (int i = 0; i < 4; ++i) {
-        EventQueue &q = k.lane(i);
-        q.schedule(1, [&stamp, &q, i] {
-            stamp[static_cast<std::size_t>(i)] = q.now();
-        });
-    }
+    for (int i = 0; i < 4; ++i)
+        k.lane(i).schedule(1, stamper, static_cast<std::uint64_t>(i), 0);
     k.setBoundaryHook([&](Tick boundary) {
         ++windows;
         for (int i = 0; i < 4; ++i) {
-            if (stamp[static_cast<std::size_t>(i)] != boundary - 1)
+            if (stamper.stamp[static_cast<std::size_t>(i)]
+                != boundary - 1)
                 ++stale;
-            EventQueue &q = k.lane(i);
-            q.schedule(boundary, [&stamp, &q, i] {
-                stamp[static_cast<std::size_t>(i)] = q.now();
-            });
+            k.lane(i).schedule(boundary, stamper,
+                               static_cast<std::uint64_t>(i), 0);
         }
     });
     const std::uint64_t ran = k.runUntil(kWindows);

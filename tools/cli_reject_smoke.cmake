@@ -46,7 +46,12 @@ set(bad_flags
     "--eta 0"
     "--tasks-per-core 99999999999"
     "--telemetry-period 0"
-    "--trace-window a:10")
+    "--trace-window a:10"
+    "--serving load=abc"
+    "--serving load=1e400"
+    "--serving load=nan"
+    "--serving load=0.5abc"
+    "--serving pool=3x")
 
 foreach(entry IN LISTS bad_flags)
     separate_arguments(args UNIX_COMMAND "${entry}")

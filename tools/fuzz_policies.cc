@@ -27,6 +27,7 @@
 
 #include "simcore/logging.hh"
 #include "validate/fuzz/fuzz_runner.hh"
+#include "workload/profile.hh"
 
 using namespace refsched;
 using namespace refsched::validate::fuzz;
@@ -69,21 +70,33 @@ main(int argc, char **argv)
         return argv[++i];
     };
 
+    // Numeric values are one whole, in-range token (no trailing
+    // suffix, no sign on the seed, a finite budget).
+    const auto integer = [&](int &i, int lo, int hi) {
+        const char *flag = argv[i];
+        return static_cast<int>(
+            workload::parseSignedToken(value(i), flag, lo, hi));
+    };
+
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         try {
             if (!std::strcmp(arg, "--samples")) {
-                opts.samples = std::stoi(value(i));
+                opts.samples = integer(i, 0, 1 << 30);
                 samplesSet = true;
             }
             else if (!std::strcmp(arg, "--seed"))
-                opts.seed = std::stoull(value(i));
+                opts.seed = workload::parseUnsignedToken(value(i), arg);
             else if (!std::strcmp(arg, "--jobs"))
-                opts.jobs = std::stoi(value(i));
+                opts.jobs = integer(i, 0, 1 << 10);
             else if (!std::strcmp(arg, "--mode"))
                 opts.onlyKind = value(i);
-            else if (!std::strcmp(arg, "--shrink-budget"))
-                opts.shrinkBudgetSec = std::stod(value(i));
+            else if (!std::strcmp(arg, "--shrink-budget")) {
+                opts.shrinkBudgetSec =
+                    workload::parseFiniteToken(value(i), arg);
+                if (opts.shrinkBudgetSec < 0.0)
+                    usage(argv[0], "--shrink-budget must be >= 0");
+            }
             else if (!std::strcmp(arg, "--corpus-dir"))
                 opts.corpusDir = value(i);
             else if (!std::strcmp(arg, "--replay"))
@@ -95,10 +108,8 @@ main(int argc, char **argv)
                 usage(argv[0]);
             else
                 usage(argv[0], std::string("unknown option ") + arg);
-        } catch (const std::invalid_argument &) {
-            usage(argv[0], std::string("bad value for ") + arg);
-        } catch (const std::out_of_range &) {
-            usage(argv[0], std::string("bad value for ") + arg);
+        } catch (const FatalError &e) {
+            usage(argv[0], e.what());
         }
     }
     if (!opts.onlyKind.empty() && opts.onlyKind != "cadence"

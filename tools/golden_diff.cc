@@ -29,7 +29,9 @@
 #include "core/experiment.hh"
 #include "core/parallel_runner.hh"
 #include "core/system.hh"
+#include "simcore/logging.hh"
 #include "validate/golden_trace.hh"
+#include "workload/profile.hh"
 
 using namespace refsched;
 
@@ -92,6 +94,18 @@ parse(int argc, char **argv, int first)
             usage(argv[0], std::string(argv[i]) + " needs a value");
         return argv[++i];
     };
+    // Numeric flags take one whole, in-range integer; anything else
+    // is a usage error.
+    const auto intFlag = [&](int &i, int lo, int hi) -> int {
+        const char *flag = argv[i];
+        const std::string v = need(i);
+        try {
+            return static_cast<int>(
+                workload::parseSignedToken(v, flag, lo, hi));
+        } catch (const FatalError &e) {
+            usage(argv[0], e.what());
+        }
+    };
     for (int i = first; i < argc; ++i) {
         const std::string a = argv[i];
         if (a == "--out")
@@ -100,16 +114,18 @@ parse(int argc, char **argv, int first)
             o.workload = need(i);
         else if (a == "--policy")
             o.policy = parsePolicy(need(i), argv[0]);
-        else if (a == "--density")
-            o.densityGb = std::atoi(need(i));
-        else if (a == "--scale")
-            o.timeScale = static_cast<unsigned>(std::atoi(need(i)));
+        else if (a == "--density") {
+            o.densityGb = intFlag(i, 8, 32);
+            if (o.densityGb % 8 != 0)
+                usage(argv[0], "--density must be 8, 16, 24 or 32");
+        } else if (a == "--scale")
+            o.timeScale = static_cast<unsigned>(intFlag(i, 1, 1 << 16));
         else if (a == "--warmup")
-            o.warmupQuanta = std::atoi(need(i));
+            o.warmupQuanta = intFlag(i, 0, 1 << 20);
         else if (a == "--measure")
-            o.measureQuanta = std::atoi(need(i));
+            o.measureQuanta = intFlag(i, 1, 1 << 20);
         else if (a == "--jobs")
-            o.jobs = std::atoi(need(i));
+            o.jobs = intFlag(i, 0, 1 << 10);
         else
             usage(argv[0], "unknown option: " + a);
     }

@@ -36,7 +36,7 @@ struct CliOptions
     std::string workload;
     std::vector<std::string> benchmarks;
     std::string scenarioPath;
-    std::string servingSpec;
+    workload::ServingConfig serving;  ///< enabled iff --serving given
     core::Policy policy = core::Policy::CoDesign;
     int densityGb = 32;
     double retentionMs = 64.0;
@@ -223,7 +223,13 @@ parse(int argc, char **argv)
         } else if (a == "--scenario") {
             o.scenarioPath = need(i);
         } else if (a == "--serving") {
-            o.servingSpec = need(i);
+            const std::string v = need(i);
+            try {
+                if (!v.empty())
+                    o.serving = workload::ServingConfig::parse(v);
+            } catch (const FatalError &e) {
+                usage(argv[0], e.what());
+            }
         } else if (a == "--policy") {
             o.policy = parsePolicy(need(i), argv[0]);
         } else if (a == "--density") {
@@ -352,8 +358,8 @@ buildConfig(const CliOptions &o, const char *argv0)
     if (!o.scenarioPath.empty())
         cfg.scenario = workload::ScenarioScript::parseFile(
             o.scenarioPath);
-    if (!o.servingSpec.empty())
-        cfg.serving = workload::ServingConfig::parse(o.servingSpec);
+    if (o.serving.enabled)
+        cfg.serving = o.serving;
     if (!o.telemetryPath.empty()) {
         cfg.telemetry.enabled = true;
         if (o.telemetryPeriod > 0)

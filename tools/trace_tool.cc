@@ -7,6 +7,7 @@
  *   trace_tool info mcf.trace
  */
 
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -37,20 +38,39 @@ usage()
     std::exit(2);
 }
 
+/** One whole unsigned integer argument; anything else is a usage
+ *  error. */
+std::uint64_t
+unsignedArg(const char *tok, const char *what)
+{
+    try {
+        return parseUnsignedToken(tok, what);
+    } catch (const FatalError &e) {
+        std::cerr << "error: " << e.what() << "\n\n";
+        usage();
+    }
+}
+
 int
 record(int argc, char **argv)
 {
     if (argc < 5)
         usage();
     const std::string bench = argv[2];
-    const auto n = std::strtoull(argv[3], nullptr, 10);
+    const auto n = unsignedArg(argv[3], "N");
     const std::string out = argv[4];
     const auto &prof = profileByName(bench);
-    const std::uint64_t footprint = argc > 5
-        ? std::strtoull(argv[5], nullptr, 10) * kMiB
-        : prof.footprintBytes;
-    const std::uint64_t seed =
-        argc > 6 ? std::strtoull(argv[6], nullptr, 10) : 1;
+    std::uint64_t footprint = prof.footprintBytes;
+    if (argc > 5) {
+        const std::uint64_t mib = unsignedArg(argv[5], "footprintMiB");
+        if (mib > UINT64_MAX / kMiB) {
+            std::cerr << "error: footprintMiB " << mib
+                      << " overflows\n\n";
+            usage();
+        }
+        footprint = mib * kMiB;
+    }
+    const std::uint64_t seed = argc > 6 ? unsignedArg(argv[6], "seed") : 1;
 
     SyntheticTraceGenerator gen(prof, seed, footprint);
     const auto entries = recordTrace(gen, n);
