@@ -4,7 +4,10 @@
  * model: per-event energies for row activations (ACT+PRE pair),
  * read/write bursts and refresh (charged per row refreshed, since a
  * REF internally activates and precharges every affected row), plus
- * rank background power integrated over time.
+ * rank background power integrated over time. The memory
+ * controller charges the per-event energies into its channel stats;
+ * this header holds the constants, the background integral and the
+ * breakdown it reports.
  *
  * Absolute joules are approximate (datasheet-class constants for a
  * DDR3-1600 x8 rank); the model's purpose is comparing refresh
@@ -17,11 +20,8 @@
 #ifndef REFSCHED_DRAM_ENERGY_HH
 #define REFSCHED_DRAM_ENERGY_HH
 
-#include <cstdint>
 #include <string>
 
-#include "dram/timings.hh"
-#include "simcore/stats.hh"
 #include "simcore/types.hh"
 
 namespace refsched::dram
@@ -37,61 +37,17 @@ struct EnergyParams
     double backgroundMwPerRank = 75.0;  ///< standby power per rank
 };
 
-/** Accumulates energy for one channel. */
-class EnergyModel
+/**
+ * Background energy of @p ranks ranks in standby for @p elapsed
+ * simulated ticks.
+ */
+inline double
+backgroundPj(const EnergyParams &params, int ranks, Tick elapsed)
 {
-  public:
-    EnergyModel(const EnergyParams &params, int ranks)
-        : params_(params), ranks_(ranks)
-    {
-    }
-
-    void noteActivate() { actPj_ += params_.actPrePj; }
-    void noteRead() { rdwrPj_ += params_.readPj; }
-    void noteWrite() { rdwrPj_ += params_.writePj; }
-
-    void
-    noteRefresh(std::uint64_t rows)
-    {
-        refreshPj_ +=
-            params_.refreshRowPj * static_cast<double>(rows);
-    }
-
-    /** Background energy for @p elapsed simulated ticks. */
-    double
-    backgroundPj(Tick elapsed) const
-    {
-        // mW * ps = 1e-3 J/s * 1e-12 s = 1e-15 J = 1e-3 pJ.
-        return params_.backgroundMwPerRank
-            * static_cast<double>(ranks_)
-            * static_cast<double>(elapsed) * 1e-3;
-    }
-
-    double activatePj() const { return actPj_; }
-    double readWritePj() const { return rdwrPj_; }
-    double refreshPj() const { return refreshPj_; }
-
-    double
-    totalPj(Tick elapsed) const
-    {
-        return actPj_ + rdwrPj_ + refreshPj_ + backgroundPj(elapsed);
-    }
-
-    void
-    reset()
-    {
-        actPj_ = rdwrPj_ = refreshPj_ = 0.0;
-    }
-
-    const EnergyParams &params() const { return params_; }
-
-  private:
-    EnergyParams params_;
-    int ranks_;
-    double actPj_ = 0.0;
-    double rdwrPj_ = 0.0;
-    double refreshPj_ = 0.0;
-};
+    // mW * ps = 1e-3 J/s * 1e-12 s = 1e-15 J = 1e-3 pJ.
+    return params.backgroundMwPerRank * static_cast<double>(ranks)
+        * static_cast<double>(elapsed) * 1e-3;
+}
 
 /** Channel-energy breakdown reported through Metrics. */
 struct EnergyBreakdown

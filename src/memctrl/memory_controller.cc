@@ -1001,12 +1001,12 @@ dram::EnergyBreakdown
 MemoryController::energyBreakdown(int channel, Tick elapsed) const
 {
     const auto &s = channelStats(channel);
-    dram::EnergyModel model(params_.energy, cfg_.org.ranksPerChannel);
     dram::EnergyBreakdown out;
     out.activatePj = s.energyActivatePj.value();
     out.readWritePj = s.energyReadWritePj.value();
     out.refreshPj = s.energyRefreshPj.value();
-    out.backgroundPj = model.backgroundPj(elapsed);
+    out.backgroundPj = dram::backgroundPj(
+        params_.energy, cfg_.org.ranksPerChannel, elapsed);
     return out;
 }
 

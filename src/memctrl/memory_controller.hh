@@ -28,7 +28,7 @@
  * when commands issue, which only happens inside ticks), so sleeping
  * to the earliest gate crossing provably never delays an issuable
  * command: the resulting command trace is byte-identical to the
- * every-edge-polling schedule (tools/golden_diff proves it).
+ * every-edge-polling schedule (ScheduleTraceFixtureTest pins it).
  *
  * Each command kind has one issue site, which is also where it is
  * reported to the probe: ACT in mcActivate, PRE in mcPrecharge

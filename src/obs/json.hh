@@ -52,7 +52,6 @@ class JsonValue
     std::map<std::string, JsonValue> object;
 
     bool isNull() const { return kind == Kind::Null; }
-    bool isBool() const { return kind == Kind::Bool; }
     bool isNumber() const { return kind == Kind::Number; }
     bool isString() const { return kind == Kind::String; }
     bool isArray() const { return kind == Kind::Array; }

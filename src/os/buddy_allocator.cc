@@ -110,7 +110,6 @@ BuddyAllocator::allocPage(Task &task)
         // Hit from a per-bank free list (line 15).
         if (auto pfn = popBankCache(allocBank)) {
             ++bankCacheHits_;
-            ++pagesAllocated_;
             freeFrames_ -= 1;  // cached pages count as free
             task.lastAllocedBank = allocBank;
             task.addResidentPage(allocBank);
@@ -127,10 +126,8 @@ BuddyAllocator::allocPage(Task &task)
             auto page = allocBlock(0);
             if (!page)
                 break;  // buddy lists exhausted
-            ++osListFetches_;
             const int bank = mapping_.bankOfFrame(*page);
             if (bank == allocBank) {
-                ++pagesAllocated_;
                 task.lastAllocedBank = allocBank;
                 task.addResidentPage(allocBank);
                 REFSCHED_PROBE(
@@ -144,7 +141,6 @@ BuddyAllocator::allocPage(Task &task)
             perBankFree_[static_cast<std::size_t>(bank)].push_back(
                 *page);
             freeFrames_ += 1;  // still free, just cached by bank
-            ++stashes_;
         }
     }
     return std::nullopt;
@@ -159,7 +155,6 @@ BuddyAllocator::allocPageAnyBank(Task *task)
         const int bank = (start + i) % numBanks_;
         if (auto pfn = popBankCache(bank)) {
             ++fallbacks_;
-            ++pagesAllocated_;
             freeFrames_ -= 1;
             if (task) {
                 task->lastAllocedBank = bank;
@@ -177,7 +172,6 @@ BuddyAllocator::allocPageAnyBank(Task *task)
     }
     if (auto page = allocBlock(0)) {
         ++fallbacks_;
-        ++pagesAllocated_;
         if (task) {
             const int bank = mapping_.bankOfFrame(*page);
             task->lastAllocedBank = bank;

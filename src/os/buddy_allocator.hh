@@ -192,10 +192,7 @@ class BuddyAllocator
     bool checkInvariants(std::string *why = nullptr) const;
 
     // --- Statistics ---
-    std::uint64_t pagesAllocated() const { return pagesAllocated_; }
     std::uint64_t bankCacheHits() const { return bankCacheHits_; }
-    std::uint64_t osListFetches() const { return osListFetches_; }
-    std::uint64_t stashes() const { return stashes_; }
     std::uint64_t fallbackAllocations() const { return fallbacks_; }
 
   private:
@@ -217,10 +214,7 @@ class BuddyAllocator
     validate::Probe *probe_ = nullptr;
     const EventQueue *clock_ = nullptr;
 
-    std::uint64_t pagesAllocated_ = 0;
     std::uint64_t bankCacheHits_ = 0;
-    std::uint64_t osListFetches_ = 0;
-    std::uint64_t stashes_ = 0;
     std::uint64_t fallbacks_ = 0;
 };
 

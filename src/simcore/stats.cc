@@ -173,7 +173,7 @@ Histogram::sample(double v)
         const auto iv = v >= 1.8446744073709552e19
             ? ~std::uint64_t{0}
             : static_cast<std::uint64_t>(v);
-        while ((std::uint64_t{1} << b) <= iv && b < kNumBuckets - 1)
+        while (b < kNumBuckets - 1 && (std::uint64_t{1} << b) <= iv)
             ++b;
     }
     ++buckets[b];

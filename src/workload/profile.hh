@@ -153,11 +153,6 @@ struct BenchmarkProfile
      *  access granularity. */
     PhaseSchedule phases;
 
-    double hotFraction() const
-    {
-        return 1.0 - seqFraction - randomFraction;
-    }
-
     /** Analytic MPKI estimate (see file header). */
     double expectedMpki(std::uint64_t lineBytes = 64) const;
 

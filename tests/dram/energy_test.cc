@@ -11,39 +11,14 @@ namespace refsched::dram
 namespace
 {
 
-TEST(EnergyModelTest, EventAccumulation)
-{
-    EnergyParams p;
-    p.actPrePj = 100.0;
-    p.readPj = 10.0;
-    p.writePj = 20.0;
-    p.refreshRowPj = 1.0;
-    EnergyModel m(p, 2);
-
-    m.noteActivate();
-    m.noteActivate();
-    m.noteRead();
-    m.noteWrite();
-    m.noteRefresh(64);
-
-    EXPECT_DOUBLE_EQ(m.activatePj(), 200.0);
-    EXPECT_DOUBLE_EQ(m.readWritePj(), 30.0);
-    EXPECT_DOUBLE_EQ(m.refreshPj(), 64.0);
-
-    m.reset();
-    EXPECT_DOUBLE_EQ(m.activatePj(), 0.0);
-}
-
-TEST(EnergyModelTest, BackgroundScalesWithTimeAndRanks)
+TEST(EnergyTest, BackgroundScalesWithTimeAndRanks)
 {
     EnergyParams p;
     p.backgroundMwPerRank = 100.0;
-    EnergyModel one(p, 1);
-    EnergyModel two(p, 2);
     // 100 mW over 1 us = 100 nJ = 1e5 pJ.
-    EXPECT_DOUBLE_EQ(one.backgroundPj(microseconds(1.0)), 1e5);
-    EXPECT_DOUBLE_EQ(two.backgroundPj(microseconds(1.0)), 2e5);
-    EXPECT_DOUBLE_EQ(one.backgroundPj(0), 0.0);
+    EXPECT_DOUBLE_EQ(backgroundPj(p, 1, microseconds(1.0)), 1e5);
+    EXPECT_DOUBLE_EQ(backgroundPj(p, 2, microseconds(1.0)), 2e5);
+    EXPECT_DOUBLE_EQ(backgroundPj(p, 1, 0), 0.0);
 }
 
 TEST(EnergyBreakdownTest, TotalsAndShares)

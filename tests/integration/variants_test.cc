@@ -1,7 +1,7 @@
 /** @file
  * Integration coverage of system variants: multiple channels, DDR4
- * FGR policies, XOR bank hashing, adaptive refresh, OOO per-bank and
- * replayed traces running end-to-end.
+ * FGR policies, XOR bank hashing, adaptive refresh and OOO per-bank
+ * running end-to-end.
  */
 
 #include <gtest/gtest.h>
@@ -9,8 +9,6 @@
 #include "core/experiment.hh"
 #include "core/system.hh"
 #include "simcore/logging.hh"
-#include "workload/trace_file.hh"
-#include "workload/trace_generator.hh"
 
 namespace refsched::core
 {
@@ -99,34 +97,6 @@ TEST(VariantsTest, XorBankHashingRunsAndConfinesPartitions)
             }
         }
     }
-}
-
-TEST(VariantsTest, ReplayedTraceDrivesATask)
-{
-    // Record a synthetic trace, then run a System whose task replays
-    // it; determinism means two replays give identical results.
-    const auto &prof = workload::profileByName("GemsFDTD");
-    workload::SyntheticTraceGenerator gen(prof, 31,
-                                          prof.footprintBytes / 512);
-    auto entries = workload::recordTrace(gen, 20000);
-
-    auto run = [&entries, &prof] {
-        SystemConfig cfg;
-        cfg.numCores = 1;
-        cfg.tasksPerCore = 1;
-        cfg.timeScale = 512;
-        cfg.applyPolicy(Policy::PerBank);
-        cfg.benchmarks = {"GemsFDTD"};  // placeholder source
-        System sys(cfg);
-        workload::ReplaySource replay(entries, prof.baseCpi);
-        sys.tasks()[0]->source = &replay;
-        return sys.run(4, 8);
-    };
-    const auto a = run();
-    const auto b = run();
-    EXPECT_GT(a.tasks[0].instructions, 0u);
-    EXPECT_EQ(a.tasks[0].instructions, b.tasks[0].instructions);
-    EXPECT_EQ(a.dramReads, b.dramReads);
 }
 
 TEST(VariantsTest, RigidRefreshStillCorrect)

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 
 #include "simcore/logging.hh"
@@ -138,6 +139,18 @@ TEST(HistogramTest, NegativeAndHugeSamplesAreNotLost)
     EXPECT_EQ(h.bucketCounts()[0], 1u);
     EXPECT_EQ(h.bucketCounts()[Histogram::kNumBuckets - 1], 1u);
     EXPECT_DOUBLE_EQ(h.minValue(), -5.0);
+}
+
+TEST(HistogramTest, SamplesAtAndPastTwoToThe63LandInTheTopBucket)
+{
+    // Bucket 64 is [2^63, 2^64); finding it must not shift a 64-bit
+    // one by 64.
+    Histogram h;
+    h.sample(std::ldexp(1.0, 63));
+    h.sample(std::nextafter(std::ldexp(1.0, 64), 0.0));
+    h.sample(18446744073709551615.0);  // 2^64 - 1
+    EXPECT_EQ(h.bucketCounts()[64], 3u);
+    EXPECT_EQ(h.bucketCounts()[63], 0u);
 }
 
 TEST(HistogramTest, QuantileInterpolation)

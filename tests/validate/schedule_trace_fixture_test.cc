@@ -11,9 +11,7 @@
  * intended change to simulated behaviour re-records the fixtures and
  * says so.
  *
- * AllPolicies: one case per refresh policy, recorded with
- * `golden_diff record --workload WL-8 --density 32 --scale 1024
- * --warmup 1 --measure 3 --policy <policy>`.  The originals came from
+ * AllPolicies: one case per refresh policy.  The originals came from
  * the every-edge-polling controller (commit a545fe5) and proved the
  * wake-precise rewrite a pure host-side optimization; they were
  * re-recorded once, when the open page policy gained the idle-row
@@ -32,9 +30,10 @@
  * stream it produced to <name>.trace in the working directory.  At
  * the commit whose controller the fixture should pin, run
  * `refsched_tests --gtest_filter='*ScheduleTraceFixtureTest*<name>'`
- * and copy <name>.trace into tests/validate/data/.  The
- * ControllerPaths fixtures were recorded this way from the controller
- * that preceded its single-path refactor.
+ * and copy <name>.trace into tests/validate/data/.  This is the only
+ * way to re-record a fixture.  The ControllerPaths fixtures were
+ * recorded this way from the controller that preceded its
+ * single-path refactor.
  */
 
 #include <gtest/gtest.h>
