@@ -503,9 +503,12 @@ System::preTouchFootprints()
     // shared free lists (soft partitioning shares banks by design).
     std::vector<std::uint64_t> nextPage(tasks_.size(), 0);
     std::vector<std::uint64_t> numPages;
-    for (auto &t : tasks_)
+    for (auto &t : tasks_) {
         numPages.push_back(
             divCeil(generatorOf(*t).footprintBytes(), pageBytes));
+        t->pageTable.reserve(numPages.back(),
+                             mc_->mapping().totalFrames());
+    }
 
     constexpr std::uint64_t kChunk = 64;
     bool progress = true;
@@ -556,6 +559,7 @@ System::spawnScenarioTask(const workload::ScenarioEvent &ev, Pid pid)
 
     auto task = std::make_unique<os::Task>(pid, ev.benchmark,
                                            cfg_.totalBanks());
+    task->pageTable.reserve(fp / pageBytes, mc_->mapping().totalFrames());
     const std::uint64_t seed = cfg_.seed * 1000003ULL
         + 7919ULL * static_cast<std::uint64_t>(pid);
     std::unique_ptr<cpu::InstructionSource> src;

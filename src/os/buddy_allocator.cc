@@ -8,9 +8,26 @@
 namespace refsched::os
 {
 
+namespace
+{
+
+/** @p frames, once it is known to fit the 32-bit StoredPfn. */
+std::uint64_t
+checkedFrameCount(std::uint64_t frames)
+{
+    if (frames > PageTable::kMaxPfn)
+        fatal("physical memory of ", frames, " frames exceeds the ",
+              PageTable::kMaxPfn, " frames a 32-bit frame number covers");
+    return frames;
+}
+
+} // namespace
+
 BuddyAllocator::BuddyAllocator(const dram::AddressMapping &mapping)
     : mapping_(mapping),
-      totalFrames_(mapping.totalFrames()),
+      // Checked before any free list is built (members initialise in
+      // declaration order).
+      totalFrames_(checkedFrameCount(mapping.totalFrames())),
       numBanks_(mapping.totalBanks()),
       freeLists_(static_cast<std::size_t>(kMaxOrder) + 1),
       perBankFree_(static_cast<std::size_t>(numBanks_))
@@ -139,7 +156,7 @@ BuddyAllocator::allocPage(Task &task)
             }
             // Maintaining a cache of per-bank free lists (line 33).
             perBankFree_[static_cast<std::size_t>(bank)].push_back(
-                *page);
+                static_cast<StoredPfn>(*page));
             freeFrames_ += 1;  // still free, just cached by bank
         }
     }
@@ -194,7 +211,8 @@ BuddyAllocator::freePage(std::uint64_t pfn, [[maybe_unused]] Pid owner)
 {
     REFSCHED_ASSERT(pfn < totalFrames_, "freePage out of range");
     const int bank = mapping_.bankOfFrame(pfn);
-    perBankFree_[static_cast<std::size_t>(bank)].push_back(pfn);
+    perBankFree_[static_cast<std::size_t>(bank)].push_back(
+        static_cast<StoredPfn>(pfn));
     freeFrames_ += 1;
     REFSCHED_PROBE(probe_,
                    onPageFree({clock_ ? clock_->now() : 0, pfn,

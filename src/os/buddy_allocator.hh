@@ -44,7 +44,8 @@ namespace refsched::os
  * split halves, both O(log n) with no node allocation -- the hot
  * demand-paging path used to spend ~10% of a co-design run inside
  * red-black-tree erase.  Arbitrary-element erase (coalescing) is
- * linear but only runs on teardown paths.
+ * linear but only runs on teardown paths.  Elements are 32-bit
+ * StoredPfns (os/page_table.hh).
  */
 class PfnMinHeap
 {
@@ -55,17 +56,15 @@ class PfnMinHeap
     void
     push(std::uint64_t pfn)
     {
-        v_.push_back(pfn);
-        std::push_heap(v_.begin(), v_.end(),
-                       std::greater<std::uint64_t>{});
+        v_.push_back(static_cast<StoredPfn>(pfn));
+        std::push_heap(v_.begin(), v_.end(), std::greater<StoredPfn>{});
     }
 
     /** Remove and return the smallest pfn; heap must be non-empty. */
     std::uint64_t
     popMin()
     {
-        std::pop_heap(v_.begin(), v_.end(),
-                      std::greater<std::uint64_t>{});
+        std::pop_heap(v_.begin(), v_.end(), std::greater<StoredPfn>{});
         const std::uint64_t pfn = v_.back();
         v_.pop_back();
         return pfn;
@@ -80,8 +79,7 @@ class PfnMinHeap
             return false;
         *it = v_.back();
         v_.pop_back();
-        std::make_heap(v_.begin(), v_.end(),
-                       std::greater<std::uint64_t>{});
+        std::make_heap(v_.begin(), v_.end(), std::greater<StoredPfn>{});
         return true;
     }
 
@@ -92,10 +90,12 @@ class PfnMinHeap
     }
 
     /** Unordered view of the stored pfns (for invariant checks). */
-    const std::vector<std::uint64_t> &items() const { return v_; }
+    const std::vector<StoredPfn> &items() const { return v_; }
 
   private:
-    std::vector<std::uint64_t> v_;
+    std::vector<StoredPfn> v_;
+    static_assert(sizeof(decltype(v_)::value_type) == 4,
+                  "free-list heap elements are 4 bytes");
 };
 
 class BuddyAllocator
@@ -104,6 +104,9 @@ class BuddyAllocator
     /** Largest block order (2^11 pages = 8 MB with 4 KB pages). */
     static constexpr int kMaxOrder = 11;
 
+    /** fatal() when @p mapping has more than PageTable::kMaxPfn
+     *  frames: every container of frame numbers in the OS stores
+     *  them in 32 bits (StoredPfn) and relies on this check alone. */
     explicit BuddyAllocator(const dram::AddressMapping &mapping);
 
     // ------------------------------------------------------------------
@@ -209,7 +212,10 @@ class BuddyAllocator
     std::vector<PfnMinHeap> freeLists_;
 
     /** Per-bank caches of order-0 pages (Algorithm 2). */
-    std::vector<std::vector<std::uint64_t>> perBankFree_;
+    std::vector<std::vector<StoredPfn>> perBankFree_;
+    static_assert(
+        sizeof(decltype(perBankFree_)::value_type::value_type) == 4,
+        "per-bank cache elements are 4 bytes");
 
     validate::Probe *probe_ = nullptr;
     const EventQueue *clock_ = nullptr;

@@ -1,6 +1,7 @@
 #include "validate/fuzz/fuzz_runner.hh"
 
 #include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -176,6 +177,17 @@ shrinkCandidates(const FuzzSample &s)
     return out;
 }
 
+/** Create @p dir and its missing parents; fatal() naming it when
+ *  that fails (e.g. a parent is a regular file). */
+void
+makeCorpusDir(const std::string &dir)
+{
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    if (ec)
+        fatal("cannot create corpus directory ", dir, ": ", ec.message());
+}
+
 /** FNV-1a over the serialized sample, for stable corpus names. */
 std::uint64_t
 contentHash(const std::string &text)
@@ -243,6 +255,7 @@ writeCorpusEntry(const std::string &dir, const FuzzSample &s,
          << (contentHash(body) & 0xffffffffULL) << ".txt";
     const std::string path = dir + "/" + name.str();
 
+    makeCorpusDir(dir);
     std::ofstream out(path);
     if (!out)
         fatal("cannot write corpus entry: ", path);
@@ -271,6 +284,10 @@ replayFile(const std::string &path, int jobs, std::ostream &log)
 FuzzReport
 runFuzz(const FuzzOptions &opts, std::ostream &log)
 {
+    // A corpus directory that cannot be made fails now, not at the
+    // first failing sample halfway through the sweep.
+    if (!opts.corpusDir.empty())
+        makeCorpusDir(opts.corpusDir);
     Rng rng(opts.seed);
     FuzzReport report;
     for (int i = 0; i < opts.samples; ++i) {

@@ -39,7 +39,8 @@ struct FuzzOptions
     int jobs = 0;
     /** Seconds to spend shrinking each failing sample (0 = off). */
     double shrinkBudgetSec = 20.0;
-    /** Where failing samples are written ("" = don't write). */
+    /** Where failing samples are written ("" = don't write);
+     *  created, with its parents, before the first sample. */
     std::string corpusDir;
     /** Restrict the sample stream to one kind ("" = both). */
     std::string onlyKind;
@@ -67,6 +68,7 @@ FuzzSample shrinkSample(const FuzzSample &failing, int jobs,
 /**
  * Serialize @p s (annotated with its failures and replay command)
  * into @p dir under a content-derived file name; returns the path.
+ * Creates @p dir if missing; fatal() when it cannot.
  */
 std::string writeCorpusEntry(const std::string &dir,
                              const FuzzSample &s,

@@ -39,6 +39,41 @@ TEST(BuddyAllocatorTest, StartsFullyFree)
     EXPECT_TRUE(f.buddy.checkInvariants(&why)) << why;
 }
 
+/** A one-rank organisation of @p banks banks with @p frames frames. */
+dram::AddressMapping
+mappingWithFrames(int banks, std::uint64_t frames)
+{
+    dram::DramOrganization org;
+    org.channels = 1;
+    org.ranksPerChannel = 1;
+    org.banksPerRank = banks;
+    org.rowsPerBank = frames / static_cast<std::uint64_t>(banks);
+    return dram::AddressMapping(org);
+}
+
+TEST(BuddyAllocatorTest, FrameCountPastThe32BitEncodingIsFatal)
+{
+    // One frame more than a 32-bit frame number covers: the
+    // constructor throws before it builds a free list.
+    const auto tooMany = mappingWithFrames(1, PageTable::kMaxPfn + 1);
+    ASSERT_EQ(tooMany.totalFrames(), (1ULL << 32) - 1);
+    EXPECT_THROW(BuddyAllocator{tooMany}, FatalError);
+
+    // The largest accepted machine: 2^32 - 2 frames.
+    const auto largest = mappingWithFrames(2, PageTable::kMaxPfn);
+    BuddyAllocator buddy(largest);
+    EXPECT_EQ(buddy.totalFrames(), PageTable::kMaxPfn);
+    EXPECT_EQ(buddy.freeFrames(), PageTable::kMaxPfn);
+    // It carves into 2^21 - 1 max-order blocks and one block of each
+    // order 10..1; the order-1 block holds the top two frames.
+    EXPECT_EQ(buddy.freeListSize(BuddyAllocator::kMaxOrder),
+              (1ULL << 21) - 1);
+    EXPECT_EQ(buddy.freeListSize(0), 0u);
+    EXPECT_EQ(buddy.allocBlock(1), PageTable::kMaxPfn - 2);
+    buddy.freeBlock(PageTable::kMaxPfn - 2, 1);
+    EXPECT_EQ(buddy.freeFrames(), PageTable::kMaxPfn);
+}
+
 TEST(BuddyAllocatorTest, AllocBlockSplitsAndFreeCoalesces)
 {
     Fixture f;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <utility>
 #include <vector>
 
@@ -80,6 +81,69 @@ TEST(PageTableTest, GrowthIsCappedAtTheLimit)
     EXPECT_EQ(pt.capacity(), 100u);  // doubling would give 128
     pt.map(99, 1, 100);
     EXPECT_EQ(pt.capacity(), 100u);
+    EXPECT_EQ(pt.size(), 3u);
+}
+
+TEST(PageTableTest, LargestEncodablePfnRoundTrips)
+{
+    // A slot is 32 bits holding pfn + 1, so 2^32 - 2 is the top pfn.
+    EXPECT_EQ(PageTable::kMaxPfn, (1ULL << 32) - 2);
+    PageTable pt;
+    pt.map(7, PageTable::kMaxPfn, kLimit);
+    pt.map(8, PageTable::kMaxPfn - 1, kLimit);
+    EXPECT_EQ(pt.lookup(7), PageTable::kMaxPfn);
+    EXPECT_EQ(pt.lookup(8), PageTable::kMaxPfn - 1);
+    using Pairs = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+    EXPECT_EQ(mappings(pt), (Pairs{{7, PageTable::kMaxPfn},
+                                   {8, PageTable::kMaxPfn - 1}}));
+    pt.unmap(7);
+    EXPECT_EQ(pt.lookup(7), PageTable::kUnmapped);
+}
+
+TEST(PageTableTest, UnmappedAndOutOfRangeLookups)
+{
+    PageTable pt;
+    pt.reserve(100, kLimit);
+    pt.map(10, 5, kLimit);
+    // Inside the array but unmapped, just past it, and far past it.
+    for (const std::uint64_t vpn :
+         std::initializer_list<std::uint64_t>{0, 9, 11, 99, 100, kLimit,
+                                              ~0ULL})
+        EXPECT_EQ(pt.lookup(vpn), PageTable::kUnmapped) << vpn;
+    EXPECT_EQ(pt.lookup(10), 5u);
+}
+
+TEST(PageTableTest, ReserveSizesTheTableOnce)
+{
+    PageTable pt;
+    pt.reserve(1000, kLimit);
+    EXPECT_EQ(pt.size(), 0u);
+    EXPECT_TRUE(pt.empty());
+    EXPECT_EQ(pt.capacity(), 1000u);
+
+    // Mapping any vpn below the reservation keeps the same array.
+    for (std::uint64_t vpn = 0; vpn < 1000; ++vpn)
+        pt.map(vpn, vpn + 3, kLimit);
+    EXPECT_EQ(pt.capacity(), 1000u);
+    EXPECT_EQ(pt.size(), 1000u);
+    EXPECT_EQ(pt.lookup(999), 1002u);
+
+    // A reservation past the vpn limit stops at the limit.
+    PageTable capped;
+    capped.reserve(500, 100);
+    EXPECT_EQ(capped.capacity(), 100u);
+}
+
+TEST(PageTableTest, GrowthPastTheReservationStopsAtTheLimit)
+{
+    PageTable pt;
+    pt.reserve(100, 150);
+    pt.map(99, 1, 150);
+    EXPECT_EQ(pt.capacity(), 100u);
+    pt.map(100, 2, 150);
+    EXPECT_EQ(pt.capacity(), 150u);  // doubling would give 200
+    pt.map(149, 3, 150);
+    EXPECT_EQ(pt.capacity(), 150u);
     EXPECT_EQ(pt.size(), 3u);
 }
 

@@ -33,6 +33,7 @@ class ParseRunTest(unittest.TestCase):
                                 os.path.join(DATA, "perf_ab_artifact.json"))
         self.assertTrue(run["correct"])
         self.assertEqual(run["fingerprint"], "dcb12d4f089aaa08")
+        self.assertEqual(run["passes"], 3)
         # The contract line wins over the artifact's samples.
         self.assertEqual(run["metrics"]["simcore.events"], 5763570.0)
         # Metrics only in the artifact use their summary statistic.
@@ -111,6 +112,32 @@ class SummarizeTest(unittest.TestCase):
                       "gain does not clear", text)
         self.assertIn("fingerprints equal (dcb12d4f089aaa08)", text)
         self.assertIn("fingerprints DIFFER", text)
+
+    def test_median_pass_counts_and_the_rss_flag(self):
+        grid = self.summary["paper-grid"]
+        self.assertEqual(grid["passes"], {"parent": 4, "change": 4})
+        self.assertFalse(grid["passes_differ"])
+        churn = self.summary["churn-migrate"]
+        self.assertEqual(churn["passes"], {"parent": 9, "change": 11})
+        self.assertTrue(churn["passes_differ"])
+        lines = perf_ab.report(self.results, self.summary).splitlines()
+        self.assertIn("  passes (median) parent 4 change 4", lines)
+        self.assertIn("  passes (median) parent 9 change 11", lines)
+        flagged = [line for line in lines if "pass counts differ" in line]
+        self.assertEqual(len(flagged), 1)
+        self.assertTrue(flagged[0].startswith("  peak_rss_mb "))
+
+    def test_runs_saved_without_pass_counts(self):
+        for pairs in self.results["workloads"].values():
+            for pair in pairs:
+                del pair["change"]["passes"]
+        summary = perf_ab.summarize(self.results)
+        churn = summary["churn-migrate"]
+        self.assertEqual(churn["passes"], {"parent": 9, "change": None})
+        self.assertFalse(churn["passes_differ"])
+        text = perf_ab.report(self.results, summary)
+        self.assertIn("passes (median) parent 9 change n/a", text)
+        self.assertNotIn("pass counts differ", text)
 
     def test_trajectory_rows(self):
         rows = perf_ab.trajectory_rows("label", self.results, self.summary)

@@ -26,7 +26,10 @@ lower-is-better metric, change/parent for a higher-is-better one, so
 above 1 means the change is better), and whether the change clears
 the gain rule: at least nine in ten pairs won and a median gap larger
 than the parent's IQR.  It also says whether every run on both sides
-produced the same simulation fingerprint.  Quartiles use
+produced the same simulation fingerprint, and gives each side's median
+timed-pass count.  The benchmark program keeps every pass's results,
+so its peak RSS grows with the pass count; when the two sides' median
+pass counts differ, the peak_rss_mb verdict is flagged.  Quartiles use
 statistics.quantiles(n=4), as benchmark/run.py does.
 
 Python standard library only.
@@ -101,7 +104,8 @@ def steal_ticks():
 
 def parse_run(stdout, artifact):
     """One run's record from run.sh's last stdout line (the contract
-    object) and its results artifact (fingerprint, span ledger)."""
+    object) and its results artifact (fingerprint, timed-pass count,
+    span ledger)."""
     contract = json.loads(stdout.strip().splitlines()[-1])
     with open(artifact) as f:
         res = json.load(f)
@@ -114,7 +118,8 @@ def parse_run(stdout, artifact):
         if name not in metrics and m["samples"]:
             metrics[name] = pick[m["summary"]](m["samples"])
     run = {"correct": bool(contract["correct"]),
-           "fingerprint": res["fingerprint"], "metrics": metrics}
+           "fingerprint": res["fingerprint"], "passes": res["passes"],
+           "metrics": metrics}
     spans = res.get("span_self_ms_per_pass") or {}
     if spans:
         run["span_self_ms_per_pass"] = spans
@@ -161,6 +166,13 @@ def verdict(pairs, name, better, parent, change):
             and gap > parent["iqr"]}
 
 
+def median_passes(pairs, side):
+    """@p side's median timed-pass count; None when a run (saved
+    before runs recorded it) lacks one."""
+    counts = [p[side].get("passes") for p in pairs]
+    return None if None in counts else statistics.median(counts)
+
+
 def summarize(results):
     """Per-workload summary of a saved A/B (see the module doc)."""
     out = {}
@@ -177,8 +189,13 @@ def summarize(results):
                     for name, better in END_TO_END if name in metrics}
         prints = {p[side]["fingerprint"] for p in pairs
                   for side in ("parent", "change")}
+        passes = {side: median_passes(pairs, side)
+                  for side in ("parent", "change")}
         out[workload] = {
             "pairs": len(pairs), "metrics": metrics, "verdicts": verdicts,
+            "passes": passes,
+            "passes_differ": None not in passes.values()
+            and passes["parent"] != passes["change"],
             "fingerprints_equal": len(prints) == 1,
             "fingerprint": sorted(prints)[0],
             "correct": all(p[side]["correct"] for p in pairs
@@ -204,12 +221,18 @@ def report(results, summary):
             lines.append("  %-28s parent %.6g (iqr %.3g)  change %.6g "
                          "(iqr %.3g)" % (name, a["median"], a["iqr"],
                                          b["median"], b["iqr"]))
+        lines.append("  passes (median) parent %s change %s" % tuple(
+            "n/a" if n is None else "%g" % n
+            for n in (s["passes"]["parent"], s["passes"]["change"])))
         for name, v in s["verdicts"].items():
-            lines.append("  %s (%s is better) wins %d/%d ratio %s gain %s"
+            flag = ""
+            if name == "peak_rss_mb" and s["passes_differ"]:
+                flag = " [pass counts differ: RSS grows with passes]"
+            lines.append("  %s (%s is better) wins %d/%d ratio %s gain %s%s"
                          % (name, v["better"], v["wins"], s["pairs"],
                             fmt_ratio(v["ratio"]),
                             "clears" if v["gain_clears"]
-                            else "does not clear"))
+                            else "does not clear", flag))
         lines.append("  fingerprints %s (%s); checks %s; max steal %d "
                      "ticks" % ("equal" if s["fingerprints_equal"]
                                 else "DIFFER", s["fingerprint"],
