@@ -1,7 +1,9 @@
-# ctest script for the figure benches' numeric flags: a malformed or
-# out-of-range value must exit 2 with usage before any simulation
-# starts -- no table on stdout, no atoi-style truncation ("12x" as
-# 12) or silent default ("abc" as 0 = all hardware threads).
+# ctest script for the figure benches' flag values: a malformed or
+# out-of-range number, or an output path into a missing directory,
+# must exit 2 with usage before any simulation starts -- no table on
+# stdout, no atoi-style truncation ("12x" as 12), no silent default
+# ("abc" as 0 = all hardware threads) and no write failure after the
+# whole grid has run.
 #
 # Usage (see bench/CMakeLists.txt):
 #   cmake -DBENCH=<figure bench> -P bench_reject_smoke.cmake
@@ -14,7 +16,11 @@ endif()
 set(bad_flags
     "--scale 12x"
     "--jobs abc"
-    "--warmup -1")
+    "--warmup -1"
+    "--json /nonexistent/dir/x.json"
+    "--timeline-prefix /nonexistent/dir/p"
+    "--stats-json-prefix /nonexistent/dir/p"
+    "--telemetry-prefix /nonexistent/dir/p")
 
 foreach(entry IN LISTS bad_flags)
     separate_arguments(args UNIX_COMMAND "${entry}")

@@ -30,7 +30,9 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <limits>
 #include <memory>
@@ -229,6 +231,23 @@ parseArgs(int argc, char **argv)
         }
     }
 
+    // Every output path's directory must exist before any cell runs;
+    // a late write failure would cost the whole grid.
+    auto requireDir = [&](const char *flag, const std::string &path) {
+        const auto dir = std::filesystem::path(path).parent_path();
+        std::error_code ec;
+        if (path.empty()
+            || std::filesystem::is_directory(dir.empty() ? "." : dir, ec))
+            return;
+        std::cerr << "error: " << flag << " " << path
+                  << ": no such directory\n";
+        usage(argv[0]);
+    };
+    requireDir("--json", opts.jsonPath);
+    requireDir("--timeline-prefix", opts.timelinePrefix);
+    requireDir("--stats-json-prefix", opts.statsJsonPrefix);
+    requireDir("--telemetry-prefix", opts.telemetryPrefix);
+
     if (!opts.jsonPath.empty()) {
         auto &archive = detail::jsonArchive();
         archive.path = opts.jsonPath;
@@ -258,14 +277,17 @@ workloadNames(const BenchOptions &opts)
 
 /**
  * Deferred experiment grid: benches enumerate every cell up front
- * (add returns the cell's index), run() fans the whole grid out over
- * a work-stealing thread pool, and operator[] retrieves the metrics
- * afterwards in submission order.
+ * (add returns the cell's index), run() fans the whole grid out with
+ * core::parallelFor, and operator[] retrieves the metrics afterwards
+ * in submission order.
  */
 class GridRunner
 {
   public:
     explicit GridRunner(const BenchOptions &opts) : opts_(opts) {}
+    // Queued cells hold this runner's address.
+    GridRunner(const GridRunner &) = delete;
+    GridRunner &operator=(const GridRunner &) = delete;
 
     /** Queue a standard Table 1 cell; returns its result index. */
     std::size_t
@@ -278,93 +300,66 @@ class GridRunner
                                     opts_.timeScale));
     }
 
-    /** Queue a custom-configured cell (ablations). */
+    /**
+     * Queue a custom-configured cell (ablations).  Each per-cell
+     * artifact prefix that is set attaches a timeline recorder or
+     * enables sampled telemetry and writes one file per cell.  Probes
+     * and samplers observe, never steer, so results stay
+     * byte-identical to a plain cell and across --jobs.
+     */
     std::size_t
     add(core::SystemConfig cfg)
     {
         cfg.validate = opts_.validate;
-
-        // With per-cell observability artifacts requested, wrap the
-        // cell in a thunk that attaches a timeline recorder and/or
-        // enables sampled telemetry, and writes one artifact per
-        // cell.  The simulation itself is unchanged (probes and
-        // samplers observe, never steer), so results stay
-        // byte-identical to the plain path and across --jobs.
-        if (!opts_.timelinePrefix.empty()
-            || !opts_.statsJsonPrefix.empty()
-            || !opts_.telemetryPrefix.empty()) {
-            const std::size_t idx = cells_.size();
-            const auto run = runOptions();
-            const std::string tlPrefix = opts_.timelinePrefix;
-            const std::string sjPrefix = opts_.statsJsonPrefix;
-            const std::string telPrefix = opts_.telemetryPrefix;
-            if (!telPrefix.empty())
-                cfg.telemetry.enabled = true;
-            return add([cfg = std::move(cfg), run, tlPrefix, sjPrefix,
-                        telPrefix, idx]() {
-                core::System sys(cfg);
-                std::unique_ptr<obs::TimelineRecorder> tl;
-                if (!tlPrefix.empty()) {
-                    tl = std::make_unique<obs::TimelineRecorder>(
-                        sys.controller().config().org, cfg.numCores);
-                    sys.attachProbe(tl.get());
-                }
-                const auto m = sys.run(run.warmupQuanta,
-                                       run.measureQuanta);
-                const std::string cell =
-                    ".cell" + std::to_string(idx) + ".json";
-                if (!telPrefix.empty()) {
-                    sys.telemetry()->writeFile(telPrefix + ".cell"
-                                               + std::to_string(idx)
-                                               + ".jsonl");
-                    if (tl)
-                        sys.telemetry()->exportCounters(*tl);
-                }
+        if (!opts_.telemetryPrefix.empty())
+            cfg.telemetry.enabled = true;
+        const std::size_t idx = cells_.size();
+        return add([this, cfg = std::move(cfg), idx] {
+            core::System sys(cfg);
+            std::unique_ptr<obs::TimelineRecorder> tl;
+            if (!opts_.timelinePrefix.empty()) {
+                tl = std::make_unique<obs::TimelineRecorder>(
+                    sys.controller().config().org, cfg.numCores);
+                sys.attachProbe(tl.get());
+            }
+            const auto m =
+                sys.run(opts_.warmupQuanta, opts_.measureQuanta);
+            const std::string cell = ".cell" + std::to_string(idx);
+            if (!opts_.telemetryPrefix.empty()) {
+                sys.telemetry()->writeFile(opts_.telemetryPrefix + cell
+                                           + ".jsonl");
                 if (tl)
-                    tl->writeFile(tlPrefix + cell);
-                if (!sjPrefix.empty()) {
-                    std::ofstream f(sjPrefix + cell);
-                    if (!f)
-                        fatal("cannot write ", sjPrefix + cell);
-                    sys.writeStatsJson(f, m);
-                }
-                return m;
-            });
-        }
-
-        core::CellSpec cell;
-        cell.cfg = std::move(cfg);
-        cell.opts = runOptions();
-        cells_.push_back(std::move(cell));
-        return cells_.size() - 1;
+                    sys.telemetry()->exportCounters(*tl);
+            }
+            if (tl)
+                tl->writeFile(opts_.timelinePrefix + cell + ".json");
+            if (!opts_.statsJsonPrefix.empty()) {
+                const std::string path =
+                    opts_.statsJsonPrefix + cell + ".json";
+                std::ofstream f(path);
+                if (!f)
+                    fatal("cannot write ", path);
+                sys.writeStatsJson(f, m);
+            }
+            return m;
+        });
     }
 
     /** Queue a fully custom cell (must be self-contained). */
     std::size_t
     add(std::function<core::Metrics()> custom)
     {
-        core::CellSpec cell;
-        cell.custom = std::move(custom);
-        cells_.push_back(std::move(cell));
+        cells_.push_back(std::move(custom));
         return cells_.size() - 1;
-    }
-
-    /** The bench's standard warm-up/measure lengths. */
-    core::RunOptions
-    runOptions() const
-    {
-        core::RunOptions run;
-        run.warmupQuanta = opts_.warmupQuanta;
-        run.measureQuanta = opts_.measureQuanta;
-        return run;
     }
 
     /** Run every queued cell across --jobs workers. */
     void
     run()
     {
-        results_ =
-            core::ParallelRunner(opts_.jobs).runCells(cells_);
+        results_.assign(cells_.size(), core::Metrics{});
+        core::parallelFor(cells_.size(), opts_.jobs,
+                          [&](std::size_t i) { results_[i] = cells_[i](); });
         ran_ = true;
         if (opts_.validate)
             reportValidation();
@@ -407,7 +402,7 @@ class GridRunner
     }
 
     BenchOptions opts_;
-    std::vector<core::CellSpec> cells_;
+    std::vector<std::function<core::Metrics()>> cells_;
     std::vector<core::Metrics> results_;
     bool ran_ = false;
 };

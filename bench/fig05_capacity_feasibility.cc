@@ -66,13 +66,12 @@ main(int argc, char **argv)
 
     // Fan the (benchmark x density) grid out over the worker pool.
     std::vector<double> fracs(names.size() * densities.size());
-    core::ParallelRunner(opts.jobs).runIndexed(
-        fracs.size(), [&](std::size_t i) {
-            const auto &prof =
-                workload::profileByName(names[i / densities.size()]);
-            fracs[i] = fractionOnOneBank(
-                densities[i % densities.size()], prof);
-        });
+    core::parallelFor(fracs.size(), opts.jobs, [&](std::size_t i) {
+        const auto &prof =
+            workload::profileByName(names[i / densities.size()]);
+        fracs[i] =
+            fractionOnOneBank(densities[i % densities.size()], prof);
+    });
 
     core::Table table({"benchmark", "footprint", "8Gb", "16Gb", "24Gb",
                        "32Gb"});

@@ -97,7 +97,6 @@ main(int argc, char **argv)
     auto outs = std::make_shared<std::vector<CellOut>>(
         channelCfgs.size() * policies.size() * loads.size());
 
-    const auto run = grid.runOptions();
     std::size_t slot = 0;
     for (int channels : channelCfgs) {
         for (Policy policy : policies) {
@@ -112,10 +111,10 @@ main(int argc, char **argv)
                     + ",pool=8,queue=64,lines=4");
                 CellOut *out = &(*outs)[slot];
                 const std::size_t idx =
-                    grid.add([cfg, run, out, outs] {
+                    grid.add([cfg, &opts, out, outs] {
                         core::System sys(cfg);
-                        const auto m = sys.run(run.warmupQuanta,
-                                               run.measureQuanta);
+                        const auto m = sys.run(opts.warmupQuanta,
+                                               opts.measureQuanta);
                         const auto *inj = sys.servingInjector();
                         const auto &all = inj->latency();
                         const auto &cl = inj->latencyClean();

@@ -231,9 +231,9 @@ checkRngStreamSeparation(const FuzzSample &s, FailureList &out)
 }
 
 /**
- * Run every policy cell of @p s through a ParallelRunner, recording
- * golden traces.  Throws FatalError for infeasible configs (hand-
- * written corpus entries); the caller converts that to a failure.
+ * Run every policy cell of @p s on @p jobs workers, recording golden
+ * traces.  Throws FatalError for infeasible configs (hand-written
+ * corpus entries); the caller converts that to a failure.
  */
 std::vector<core::Metrics>
 runPolicyGrid(const FuzzSample &s, int jobs,
@@ -241,22 +241,18 @@ runPolicyGrid(const FuzzSample &s, int jobs,
 {
     const std::size_t n = std::size(kSystemPolicies);
     recs.assign(n, TraceRecorder{});
-    std::vector<core::CellSpec> specs;
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto cfg = s.toConfig(kSystemPolicies[i]);
-        cfg.check();
-        TraceRecorder *rec = &recs[i];
-        const int warmup = s.warmupQuanta;
-        const int measure = s.measureQuanta;
-        core::CellSpec spec;
-        spec.custom = [cfg, rec, warmup, measure] {
-            core::System sys(cfg);
-            sys.attachProbe(rec);
-            return sys.run(warmup, measure);
-        };
-        specs.push_back(std::move(spec));
+    std::vector<core::SystemConfig> cfgs;
+    for (const auto policy : kSystemPolicies) {
+        cfgs.push_back(s.toConfig(policy));
+        cfgs.back().check();
     }
-    return core::ParallelRunner(jobs).runCells(specs);
+    std::vector<core::Metrics> out(n);
+    core::parallelFor(n, jobs, [&](std::size_t i) {
+        core::System sys(cfgs[i]);
+        sys.attachProbe(&recs[i]);
+        out[i] = sys.run(s.warmupQuanta, s.measureQuanta);
+    });
+    return out;
 }
 
 } // namespace

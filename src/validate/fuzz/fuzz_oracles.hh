@@ -50,7 +50,7 @@ FailureList checkCadence(const FuzzSample &s);
 
 /**
  * Run the full-system differential oracles over @p s (System kind):
- * every applicable policy is simulated through a ParallelRunner with
+ * every applicable policy is simulated through core::parallelFor with
  * @p jobs workers, then once more inline, and the checker /
  * dominance / stall-free / jobs-identity oracles are evaluated.
  */

@@ -1,16 +1,22 @@
 /**
  * @file
- * Determinism tests for the work-stealing experiment runner: the
- * same cell grid must yield bit-identical Metrics for any worker
- * count, in submission order.
+ * Contract and determinism tests for the parallelFor fan-out: every
+ * index runs exactly once, one worker runs inline, exceptions surface
+ * after the rest of the grid ran, and the same cell grid yields
+ * bit-identical Metrics for any worker count, in submission order.
  */
 
 #include "core/parallel_runner.hh"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <set>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.hh"
@@ -68,41 +74,112 @@ expectMetricsEq(const Metrics &a, const Metrics &b)
 }
 
 /** A small but non-trivial grid (mixed policies and workloads). */
-std::vector<CellSpec>
+std::vector<SystemConfig>
 testGrid()
 {
-    RunOptions run;
-    run.warmupQuanta = 1;
-    run.measureQuanta = 2;
-
-    std::vector<CellSpec> cells;
+    std::vector<SystemConfig> cells;
     for (const auto *wl : {"WL-1", "WL-5"}) {
         for (auto policy :
              {Policy::AllBank, Policy::PerBank, Policy::CoDesign}) {
-            CellSpec cell;
-            cell.cfg = makeConfig(wl, policy, dram::DensityGb::d32,
-                                  milliseconds(64.0), 2, 4, 2048);
-            cell.opts = run;
-            cells.push_back(std::move(cell));
+            cells.push_back(makeConfig(wl, policy, dram::DensityGb::d32,
+                                       milliseconds(64.0), 2, 4, 2048));
         }
     }
     return cells;
 }
 
-TEST(ParallelRunnerTest, JobsDefaultsToAtLeastOne)
+const RunOptions kRun{/*warmupQuanta=*/1, /*measureQuanta=*/2};
+
+/** Run every cell of @p cells on @p jobs workers, in index slots. */
+std::vector<Metrics>
+runGrid(const std::vector<SystemConfig> &cells, int jobs)
 {
-    EXPECT_GE(ParallelRunner().jobs(), 1);
-    EXPECT_GE(ParallelRunner(0).jobs(), 1);
-    EXPECT_GE(ParallelRunner(-3).jobs(), 1);
-    EXPECT_EQ(ParallelRunner(7).jobs(), 7);
+    std::vector<Metrics> out(cells.size());
+    parallelFor(cells.size(), jobs,
+                [&](std::size_t i) { out[i] = runOnce(cells[i], kRun); });
+    return out;
 }
 
-TEST(ParallelRunnerTest, ResultsIdenticalAcrossThreadCounts)
+TEST(ParallelForTest, EveryIndexRunsOnce)
+{
+    // jobs <= 0 selects hardware_concurrency, still at least one
+    // worker; each index writes its own slot.
+    for (const std::size_t n : {0u, 1u, 3u, 97u}) {
+        for (const int jobs : {-3, 0, 1, 4, 8}) {
+            std::vector<std::atomic<int>> hits(n);
+            std::vector<std::size_t> slots(n, 0);
+            parallelFor(n, jobs, [&](std::size_t i) {
+                hits[i].fetch_add(1);
+                slots[i] = i + 1;
+            });
+            for (std::size_t i = 0; i < n; ++i) {
+                EXPECT_EQ(hits[i].load(), 1)
+                    << "n=" << n << " jobs=" << jobs << " index " << i;
+                EXPECT_EQ(slots[i], i + 1);
+            }
+        }
+    }
+}
+
+TEST(ParallelForTest, OneWorkerRunsOnCallingThread)
+{
+    // jobs == 1, or a single index under many jobs: one worker, so
+    // every call runs inline.
+    const auto caller = std::this_thread::get_id();
+    for (const auto &[n, jobs] :
+         {std::pair<std::size_t, int>{5, 1}, {1, 8}}) {
+        std::vector<std::thread::id> ids(n);
+        parallelFor(n, jobs, [&](std::size_t i) {
+            ids[i] = std::this_thread::get_id();
+        });
+        for (const auto &id : ids)
+            EXPECT_EQ(id, caller) << "n=" << n << " jobs=" << jobs;
+    }
+}
+
+TEST(ParallelForTest, RunsOnMinJobsNThreadsWithCaller)
+{
+    // The first min(jobs, n) calls each wait until all of them have
+    // started, so they run on that many distinct threads at once; a
+    // waiting worker claims nothing else, so the calling thread must
+    // take one of them.
+    const auto caller = std::this_thread::get_id();
+    for (const auto &[n, jobs] :
+         {std::pair<std::size_t, int>{3, 8}, {97, 4}}) {
+        const std::size_t workers =
+            std::min(static_cast<std::size_t>(jobs), n);
+        std::vector<std::thread::id> ids(n);
+        std::atomic<std::size_t> started{0};
+        std::atomic<bool> timedOut{false};
+        parallelFor(n, jobs, [&](std::size_t i) {
+            ids[i] = std::this_thread::get_id();
+            if (i >= workers)
+                return;
+            ++started;
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(10);
+            while (started.load() < workers) {
+                if (std::chrono::steady_clock::now() > deadline) {
+                    timedOut = true;
+                    return;
+                }
+                std::this_thread::yield();
+            }
+        });
+        EXPECT_FALSE(timedOut) << "n=" << n << " jobs=" << jobs;
+        const std::set<std::thread::id> distinct(ids.begin(), ids.end());
+        EXPECT_EQ(distinct.size(), workers) << "n=" << n << " jobs=" << jobs;
+        EXPECT_EQ(distinct.count(caller), 1u)
+            << "n=" << n << " jobs=" << jobs;
+    }
+}
+
+TEST(ParallelForTest, ResultsIdenticalAcrossThreadCounts)
 {
     const auto cells = testGrid();
-    const auto seq = ParallelRunner(1).runCells(cells);
-    const auto two = ParallelRunner(2).runCells(cells);
-    const auto eight = ParallelRunner(8).runCells(cells);
+    const auto seq = runGrid(cells, 1);
+    const auto two = runGrid(cells, 2);
+    const auto eight = runGrid(cells, 8);
 
     ASSERT_EQ(seq.size(), cells.size());
     ASSERT_EQ(two.size(), cells.size());
@@ -113,63 +190,34 @@ TEST(ParallelRunnerTest, ResultsIdenticalAcrossThreadCounts)
     }
 }
 
-TEST(ParallelRunnerTest, ResultsMatchDirectRunOnce)
+TEST(ParallelForTest, ResultsMatchDirectRunOnce)
 {
     const auto cells = testGrid();
-    const auto results = ParallelRunner(4).runCells(cells);
+    const auto results = runGrid(cells, 4);
     // Spot-check submission-order mapping against direct runs.
-    expectMetricsEq(results.front(),
-                    runOnce(cells.front().cfg, cells.front().opts));
-    expectMetricsEq(results.back(),
-                    runOnce(cells.back().cfg, cells.back().opts));
+    expectMetricsEq(results.front(), runOnce(cells.front(), kRun));
+    expectMetricsEq(results.back(), runOnce(cells.back(), kRun));
 }
 
-TEST(ParallelRunnerTest, CustomThunkCellsRun)
+TEST(ParallelForTest, WorkerExceptionPropagates)
 {
-    std::vector<CellSpec> cells(3);
-    for (int i = 0; i < 3; ++i) {
-        cells[static_cast<std::size_t>(i)].custom = [i] {
-            Metrics m;
-            m.harmonicMeanIpc = 1.0 + i;
-            return m;
-        };
+    // Two indices throw: one exception surfaces, and only after
+    // every other index ran, inline or threaded.
+    constexpr std::size_t kN = 8;
+    for (const int jobs : {1, 2, 4}) {
+        std::vector<std::atomic<int>> hits(kN);
+        EXPECT_THROW(parallelFor(kN, jobs,
+                                 [&](std::size_t i) {
+                                     hits[i].fetch_add(1);
+                                     if (i == 2 || i == 5)
+                                         throw std::runtime_error("boom");
+                                 }),
+                     std::runtime_error)
+            << "jobs=" << jobs;
+        for (std::size_t i = 0; i < kN; ++i)
+            EXPECT_EQ(hits[i].load(), 1)
+                << "jobs=" << jobs << " index " << i;
     }
-    const auto results = ParallelRunner(2).runCells(cells);
-    ASSERT_EQ(results.size(), 3u);
-    EXPECT_EQ(results[0].harmonicMeanIpc, 1.0);
-    EXPECT_EQ(results[1].harmonicMeanIpc, 2.0);
-    EXPECT_EQ(results[2].harmonicMeanIpc, 3.0);
-}
-
-TEST(ParallelRunnerTest, RunIndexedCoversEveryIndexOnce)
-{
-    constexpr std::size_t kN = 97;
-    std::vector<std::atomic<int>> hits(kN);
-    ParallelRunner(4).runIndexed(
-        kN, [&](std::size_t i) { hits[i].fetch_add(1); });
-    for (std::size_t i = 0; i < kN; ++i)
-        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-}
-
-TEST(ParallelRunnerTest, RunIndexedHandlesEmptyRange)
-{
-    int calls = 0;
-    ParallelRunner(4).runIndexed(0, [&](std::size_t) { ++calls; });
-    EXPECT_EQ(calls, 0);
-    EXPECT_TRUE(ParallelRunner(4).runCells({}).empty());
-}
-
-TEST(ParallelRunnerTest, WorkerExceptionPropagates)
-{
-    EXPECT_THROW(ParallelRunner(2).runIndexed(8,
-                                              [](std::size_t i) {
-                                                  if (i == 5) {
-                                                      throw std::
-                                                          runtime_error(
-                                                              "boom");
-                                                  }
-                                              }),
-                 std::runtime_error);
 }
 
 } // namespace

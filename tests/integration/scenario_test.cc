@@ -184,19 +184,13 @@ runScenarioGrid(int jobs, std::vector<validate::TraceRecorder> &recs)
 {
     const bool variants[] = {true, false};
     recs.assign(2, validate::TraceRecorder{});
-    std::vector<CellSpec> specs;
-    for (std::size_t i = 0; i < 2; ++i) {
-        SystemConfig cfg = fixtureConfig(variants[i]);
-        validate::TraceRecorder *rec = &recs[i];
-        CellSpec spec;
-        spec.custom = [cfg, rec] {
-            System sys(cfg);
-            sys.attachProbe(rec);
-            return sys.run(/*warmupQuanta=*/1, /*measureQuanta=*/4);
-        };
-        specs.push_back(std::move(spec));
-    }
-    return ParallelRunner(jobs).runCells(specs);
+    std::vector<Metrics> out(2);
+    parallelFor(2, jobs, [&](std::size_t i) {
+        System sys(fixtureConfig(variants[i]));
+        sys.attachProbe(&recs[i]);
+        out[i] = sys.run(/*warmupQuanta=*/1, /*measureQuanta=*/4);
+    });
+    return out;
 }
 
 TEST(ScenarioIntegrationTest, TraceIdenticalAcrossJobCounts)

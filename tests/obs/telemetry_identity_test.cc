@@ -72,23 +72,13 @@ std::vector<std::string>
 runMatrix(const std::vector<int> &cells, int jobs)
 {
     std::vector<std::string> out(cells.size());
-    std::vector<core::CellSpec> specs;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const core::SystemConfig cfg = telemetryConfig(cells[i]);
-        std::string *slot = &out[i];
-        core::CellSpec spec;
-        spec.custom = [cfg, slot] {
-            core::System sys(cfg);
-            const auto m = sys.run(/*warmupQuanta=*/1,
-                                   /*measureQuanta=*/2);
-            std::ostringstream os;
-            sys.telemetry()->writeJsonl(os);
-            *slot = os.str();
-            return m;
-        };
-        specs.push_back(std::move(spec));
-    }
-    core::ParallelRunner(jobs).runCells(specs);
+    core::parallelFor(cells.size(), jobs, [&](std::size_t i) {
+        core::System sys(telemetryConfig(cells[i]));
+        sys.run(/*warmupQuanta=*/1, /*measureQuanta=*/2);
+        std::ostringstream os;
+        sys.telemetry()->writeJsonl(os);
+        out[i] = os.str();
+    });
     return out;
 }
 

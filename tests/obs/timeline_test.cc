@@ -202,19 +202,11 @@ TEST(TimelineJobsTest, TimelinesByteIdenticalAcrossJobCounts)
             // without constructing the System yet.
             recs.emplace_back(cfg.deviceConfig().org, cfg.numCores);
         }
-        std::vector<core::CellSpec> specs;
-        for (std::size_t i = 0; i < cfgs.size(); ++i) {
-            auto cfg = cfgs[i];
-            TimelineRecorder *rec = &recs[i];
-            core::CellSpec spec;
-            spec.custom = [cfg, rec] {
-                core::System sys(cfg);
-                sys.attachProbe(rec);
-                return sys.run(1, 2);
-            };
-            specs.push_back(std::move(spec));
-        }
-        core::ParallelRunner(jobs).runCells(specs);
+        core::parallelFor(cfgs.size(), jobs, [&](std::size_t i) {
+            core::System sys(cfgs[i]);
+            sys.attachProbe(&recs[i]);
+            sys.run(1, 2);
+        });
         std::vector<std::string> out;
         for (const auto &rec : recs) {
             std::ostringstream os;

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/experiment.hh"
 #include "core/parallel_runner.hh"
 #include "core/system.hh"
 #include "validate/golden_trace.hh"
@@ -33,22 +34,16 @@ runGrid(const std::vector<JobsCell> &cells, int jobs,
         std::vector<TraceRecorder> &recs)
 {
     recs.assign(cells.size(), TraceRecorder{});
-    std::vector<core::CellSpec> specs;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        core::SystemConfig cfg = core::makeConfig(
+    std::vector<core::Metrics> out(cells.size());
+    core::parallelFor(cells.size(), jobs, [&](std::size_t i) {
+        core::System sys(core::makeConfig(
             cells[i].workload, cells[i].policy, dram::DensityGb::d32,
             milliseconds(64.0), /*numCores=*/2, /*tasksPerCore=*/4,
-            /*timeScale=*/1024);
-        TraceRecorder *rec = &recs[i];
-        core::CellSpec spec;
-        spec.custom = [cfg, rec] {
-            core::System sys(cfg);
-            sys.attachProbe(rec);
-            return sys.run(/*warmupQuanta=*/1, /*measureQuanta=*/2);
-        };
-        specs.push_back(std::move(spec));
-    }
-    return core::ParallelRunner(jobs).runCells(specs);
+            /*timeScale=*/1024));
+        sys.attachProbe(&recs[i]);
+        out[i] = sys.run(/*warmupQuanta=*/1, /*measureQuanta=*/2);
+    });
+    return out;
 }
 
 void

@@ -128,32 +128,22 @@ TEST(ShardIdentityTest, SingleChannelShardedIsDeterministic)
 }
 
 /**
- * Run one shard-count cell per grid entry under a ParallelRunner
- * worker pool, tracing each.
+ * Run one shard-count cell per grid entry on @p jobs workers,
+ * tracing each.
  */
 std::vector<ShardRun>
 runMatrix(const std::vector<int> &cells, int jobs)
 {
     std::vector<ShardRun> runs(cells.size());
-    std::vector<core::CellSpec> specs;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const core::SystemConfig cfg = shardedConfig(2, cells[i]);
-        ShardRun *out = &runs[i];
-        core::CellSpec spec;
-        spec.custom = [cfg, out] {
-            core::System sys(cfg);
-            TraceRecorder rec;
-            sys.attachProbe(&rec);
-            const auto m =
-                sys.run(/*warmupQuanta=*/1, /*measureQuanta=*/2);
-            out->trace = rec.data();
-            out->traceEvents = rec.eventCount();
-            out->statsJson = statsJsonStripped(sys, m);
-            return m;
-        };
-        specs.push_back(std::move(spec));
-    }
-    core::ParallelRunner(jobs).runCells(specs);
+    core::parallelFor(cells.size(), jobs, [&](std::size_t i) {
+        core::System sys(shardedConfig(2, cells[i]));
+        TraceRecorder rec;
+        sys.attachProbe(&rec);
+        const auto m = sys.run(/*warmupQuanta=*/1, /*measureQuanta=*/2);
+        runs[i].trace = rec.data();
+        runs[i].traceEvents = rec.eventCount();
+        runs[i].statsJson = statsJsonStripped(sys, m);
+    });
     return runs;
 }
 
@@ -211,21 +201,12 @@ TEST(ServingIdentityTest, OpenLoopInjectionIdenticalAcrossPartitionings)
     std::vector<ShardRun> seq, par;
     for (int jobs : {1, 8}) {
         std::vector<ShardRun> runs(cells.size());
-        std::vector<core::CellSpec> specs;
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            const core::SystemConfig cfg = servingCfg(cells[i]);
-            ShardRun *out = &runs[i];
-            core::CellSpec spec;
-            spec.custom = [cfg, out] {
-                core::System sys(cfg);
-                const auto m = sys.run(/*warmupQuanta=*/1,
-                                       /*measureQuanta=*/2);
-                out->statsJson = statsJsonStripped(sys, m);
-                return m;
-            };
-            specs.push_back(std::move(spec));
-        }
-        core::ParallelRunner(jobs).runCells(specs);
+        core::parallelFor(cells.size(), jobs, [&](std::size_t i) {
+            core::System sys(servingCfg(cells[i]));
+            const auto m = sys.run(/*warmupQuanta=*/1,
+                                   /*measureQuanta=*/2);
+            runs[i].statsJson = statsJsonStripped(sys, m);
+        });
         (jobs == 1 ? seq : par) = std::move(runs);
     }
 

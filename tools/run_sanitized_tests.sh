@@ -113,10 +113,12 @@ echo "=== asan: differential fuzz (corpus replay + short random run) ==="
 
 run_pass tsan thread
 echo "=== tsan: parallel-runner determinism suites ==="
-# Each runs cells on ParallelRunner worker threads and asserts
-# bit-identity with the inline run.
+# Each runs cells on parallelFor worker threads, whose only shared
+# state is the index cursor, and asserts bit-identity with the
+# inline run; bench_artifact_smoke does the same for a figure bench's
+# per-cell artifacts.
 ctest --test-dir build-tsan --output-on-failure \
-    -R 'ParallelRunner|GoldenTraceJobs|ScenarioIntegration'
+    -R 'ParallelFor|GoldenTraceJobs|ScenarioIntegration|bench_artifact_smoke'
 echo "=== tsan: scenario engine (churn + page migration) ==="
 scenario_smoke build-tsan
 echo "=== tsan: open-loop serving (drops + retry paths) ==="
