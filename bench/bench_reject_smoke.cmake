@@ -1,6 +1,7 @@
 # ctest script for the figure benches' flag values: a malformed or
-# out-of-range number, or an output path into a missing directory,
-# must exit 2 with usage before any simulation starts -- no table on
+# out-of-range number, an output path into a missing directory, or a
+# --json path that cannot be opened (an existing directory), must
+# exit 2 with usage before any simulation starts -- no table on
 # stdout, no atoi-style truncation ("12x" as 12), no silent default
 # ("abc" as 0 = all hardware threads) and no write failure after the
 # whole grid has run.
@@ -18,6 +19,7 @@ set(bad_flags
     "--jobs abc"
     "--warmup -1"
     "--json /nonexistent/dir/x.json"
+    "--json ${CMAKE_CURRENT_LIST_DIR}/"
     "--timeline-prefix /nonexistent/dir/p"
     "--stats-json-prefix /nonexistent/dir/p"
     "--telemetry-prefix /nonexistent/dir/p")

@@ -83,23 +83,20 @@ struct BenchOptions
 namespace detail
 {
 
-/** Tables emitted so far, flushed to opts.jsonPath at exit. */
+/** Tables emitted so far, written to opts.jsonPath at exit.  parseArgs
+ *  opens the file before any cell runs. */
 struct JsonArchive
 {
     std::string path;
+    std::ofstream os;
     std::string bench;
     std::string options;
     std::vector<std::pair<std::string, core::Table>> tables;
 
     ~JsonArchive()
     {
-        if (path.empty() || tables.empty())
+        if (!os.is_open() || tables.empty())
             return;
-        std::ofstream os(path);
-        if (!os) {
-            std::cerr << "cannot write " << path << "\n";
-            return;
-        }
         os << "{\n  \"bench\": \"" << obs::jsonEscape(bench) << "\",\n"
            << "  \"options\": " << options << ",\n"
            << "  \"tables\": [\n";
@@ -118,6 +115,9 @@ struct JsonArchive
             os << "]}" << (t + 1 < tables.size() ? "," : "") << "\n";
         }
         os << "  ]\n}\n";
+        os.flush();
+        if (!os)
+            std::cerr << "cannot write " << path << "\n";
     }
 
     static void
@@ -251,6 +251,12 @@ parseArgs(int argc, char **argv)
     if (!opts.jsonPath.empty()) {
         auto &archive = detail::jsonArchive();
         archive.path = opts.jsonPath;
+        archive.os.open(opts.jsonPath);
+        if (!archive.os) {
+            std::cerr << "error: --json " << opts.jsonPath
+                      << ": cannot open for writing\n";
+            usage(argv[0]);
+        }
         archive.bench = opts.benchName;
         archive.options = "{\"full\": "
             + std::string(opts.full ? "true" : "false")

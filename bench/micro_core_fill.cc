@@ -14,8 +14,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <iterator>
 
 #include "cache/cache_hierarchy.hh"
 #include "cpu/core.hh"
@@ -86,18 +88,17 @@ class CompletingPort final : public memctrl::MemoryPort
  *  cannot hold: every access reaches the port. */
 class StrideMissSource final : public cpu::InstructionSource
 {
-  public:
-    cpu::TraceEntry
-    next() override
+  private:
+    std::uint32_t
+    refill(cpu::TraceEntry *block) override
     {
-        cpu::TraceEntry e;
-        e.gap = 3;
-        e.vaddr = next_;
+        block[0] = cpu::TraceEntry{};
+        block[0].gap = 3;
+        block[0].vaddr = next_;
         next_ = (next_ + 64) % (256 * kKiB);
-        return e;
+        return 1;
     }
 
-  private:
     Addr next_ = 0;
 };
 
@@ -174,6 +175,71 @@ BM_CoreFillOutOfOrder(benchmark::State &state)
     state.counters["fills"] = b.core.dramReads.value();
 }
 BENCHMARK(BM_CoreFillOutOfOrder)->Arg(16)->Arg(64);
+
+/** A 64-entry block source replaying one fixed block: gaps from 0
+ *  to 300 (below and above the 128-entry ROB) over 8 lines of one
+ *  page, so every access hits L1 once the lines are warm. */
+class HotBlockSource final : public cpu::InstructionSource
+{
+  public:
+    HotBlockSource()
+    {
+        static constexpr std::uint32_t kGaps[] = {0, 3, 1, 17, 0, 60,
+                                                  2, 200, 5, 0, 9, 300};
+        for (std::uint32_t i = 0; i < kBlockEntries; ++i) {
+            pattern_[i].gap = kGaps[i % std::size(kGaps)];
+            pattern_[i].vaddr = (i * 7 % 8) * 64;
+            pattern_[i].isWrite = i % 5 == 0;
+        }
+    }
+
+  private:
+    std::uint32_t
+    refill(cpu::TraceEntry *block) override
+    {
+        std::copy(std::begin(pattern_), std::end(pattern_), block);
+        return kBlockEntries;
+    }
+
+    cpu::TraceEntry pattern_[kBlockEntries];
+};
+
+/** The issue loop on an all-L1-hit stream: no DRAM traffic, no page
+ *  fault, so one quantum is one advance() call. */
+void
+BM_CoreL1HitRun(benchmark::State &state)
+{
+    EventQueue eq;
+    dram::DramDeviceConfig dev(dram::makeDdr3_1600(
+        dram::DensityGb::d32, milliseconds(64.0), 256));
+    dram::AddressMapping mapping(dev.org);
+    os::BuddyAllocator buddy(mapping);
+    os::VirtualMemory vm(mapping, buddy);
+    cache::CacheHierarchy caches(1, FillBench::smallCaches());
+    CompletingPort port(eq, 50'000, false);
+    cpu::Core core(eq, 0, cpu::CoreParams{}, caches, port, vm);
+    os::Task task(1, "hits", mapping.totalBanks());
+    for (Addr a = 0; a < 8 * 64; a += 64)
+        caches.access(0, task.pid(), vm.translate(task, a), false);
+    HotBlockSource src;
+    task.source = &src;
+
+    const Tick quantum = static_cast<Tick>(state.range(0));
+    for (auto _ : state) {
+        const Tick until = eq.now() + quantum;
+        core.setTask(&task, until);
+        eq.runUntil(until);
+        benchmark::DoNotOptimize(task.memOps);
+    }
+    const std::uint64_t memOps = task.memOps;
+    if (core.dramReads.value() != 0.0 || memOps == 0)
+        state.SkipWithError("the stream left L1");
+    state.SetItemsProcessed(static_cast<std::int64_t>(memOps));
+    state.counters["ns_per_entry"] = benchmark::Counter(
+        static_cast<double>(memOps),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_CoreL1HitRun)->Arg(1'000'000)->Arg(10'000'000);
 
 } // namespace
 

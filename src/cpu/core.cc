@@ -209,9 +209,8 @@ Core::advance(Tick now)
     // the event clock.
     Tick tick = std::max(localTick_, now);
     std::uint64_t idx = instrIdx_;
-    std::uint64_t instrs = 0;
     std::uint64_t memOps = 0;
-    std::uint64_t l1Hits = 0;
+    std::uint64_t l1Misses = 0;
 
     const std::uint64_t robSize =
         static_cast<std::uint64_t>(params_.robSize);
@@ -221,17 +220,17 @@ Core::advance(Tick now)
     const Addr lineMask =
         ~(static_cast<Addr>(caches_.l2().params().lineBytes) - 1);
     const os::PageTable &pageTable = task_->pageTable;
-    const Addr pageOffsetMask = (Addr{1} << pageShift_) - 1;
+    InstructionSource &source = *task_->source;
+    const unsigned pageShift = pageShift_;
+    const Addr pageOffsetMask = (Addr{1} << pageShift) - 1;
+    const Tick until = runUntil_;
 
-    // Charge @p n instructions of non-memory work.
-    auto chargeInstructions = [&](std::uint64_t n) {
-        tick += n < chargeTable_.size()
-            ? chargeTable_[n]
-            : static_cast<Tick>(
-                  std::llround(static_cast<double>(n) * cpiTicks_));
-        idx += n;
-        instrs += n;
-    };
+    // chargeTicks[n] charges n <= robSize instructions: every batch
+    // is a ROB chunk or the memory op.
+    const Tick *chargeTicks = chargeTable_.data();
+    // The memory op of an L1 hit and the part of its latency the
+    // window exposes.
+    const Tick l1HitOpCharge = chargeTicks[1] + l1HitCharge;
 
     auto setRetry = [this] {
         waitingRetry_ = true;
@@ -251,7 +250,7 @@ Core::advance(Tick now)
 
     auto issue = [&] {
         while (true) {
-            if (tick >= runUntil_)
+            if (tick >= until)
                 return;  // quantum exhausted; scheduler takes over
 
             // --- Stage A: drain pending write-backs to the MC ---
@@ -315,68 +314,82 @@ Core::advance(Tick now)
                 continue;
             }
 
-            // --- Stage C: fetch the next trace entry ---
-            if (!pendingEntry_) {
-                pendingEntry_ = task_->source->next();
-                pendingGap_ = pendingEntry_->gap;
+            // --- Stages C-E: trace entries, run in locals ---
+            // Stage B is the only place the oldest outstanding miss
+            // can change inside one call (fills arrive as events), so
+            // the ROB limit is fixed until the loop goes back to
+            // Stages A/B; with nothing outstanding the ROB only caps
+            // the chunk size.
+            const std::uint64_t robLimit = outstanding_.empty()
+                ? ~std::uint64_t{0}
+                : outstanding_.front().instrIdx + robSize;
+            TraceEntry e;
+            std::uint64_t gap;
+            if (pendingEntry_) {
+                e = *pendingEntry_;
+                gap = pendingGap_;
+                pendingEntry_.reset();
+            } else {
+                e = source.next();
+                gap = e.gap;
             }
 
-            // --- Stage D: issue the gap instructions, ROB-limited ---
-            while (pendingGap_ > 0) {
-                if (robFull(idx)) {
+            Addr paddr = 0;
+            while (true) {
+                // --- Stage D: the gap instructions, ROB-limited ---
+                while (gap > 0 && idx < robLimit) {
+                    const std::uint64_t take =
+                        std::min(gap, std::min(robSize, robLimit - idx));
+                    tick += chargeTicks[take];
+                    idx += take;
+                    gap -= take;
+                }
+
+                // --- Stage E: the memory operation (one instruction) ---
+                if (idx >= robLimit) {
+                    // The ROB cannot take instruction idx: park the
+                    // entry and the rest of its gap until onFill
+                    // resumes us.
+                    pendingEntry_ = e;
+                    pendingGap_ = gap;
                     if (needSync())
                         return;
                     stalledOnRob_ = true;
                     stallStart_ = now;
-                    return;  // resumed by onFill
-                }
-                std::uint64_t space = robSize;
-                if (!outstanding_.empty())
-                    space = robSize - (idx - outstanding_.front().instrIdx);
-                const std::uint64_t take = std::min(pendingGap_, space);
-                chargeInstructions(take);
-                pendingGap_ -= take;
-            }
-
-            // --- Stage E: the memory operation (one instruction) ---
-
-            if (robFull(idx)) {
-                if (needSync())
                     return;
-                stalledOnRob_ = true;
-                stallStart_ = now;
-                return;
+                }
+
+                // A mapped page translates inline; only a first touch
+                // goes through the VM (and may fault).
+                const std::uint64_t pfn =
+                    pageTable.lookup(e.vaddr >> pageShift);
+                if (pfn != os::PageTable::kUnmapped) {
+                    paddr = (pfn << pageShift) | (e.vaddr & pageOffsetMask);
+                } else {
+                    bool faulted = false;
+                    paddr = vm_.translate(*task_, e.vaddr, &faulted);
+                    if (faulted)
+                        tick += pageFaultCharge_;
+                }
+                ++idx;
+                ++memOps;
+
+                if (!l1.accessHit(paddr, e.isWrite))
+                    break;
+                // L1 hit: no traffic, so Stages A/B stay empty and the
+                // next entry starts at Stage C.  The hierarchy counts
+                // the hit when the call returns (memOps - l1Misses).
+                tick += l1HitOpCharge;
+                if (tick >= until)
+                    return;  // quantum exhausted
+                e = source.next();
+                gap = e.gap;
             }
 
-            // A mapped page translates inline; only a first touch
-            // goes through the VM (and may fault).
-            const Addr vaddr = pendingEntry_->vaddr;
-            const std::uint64_t pfn = pageTable.lookup(vaddr >> pageShift_);
-            Addr paddr;
-            if (pfn != os::PageTable::kUnmapped) {
-                paddr = (pfn << pageShift_) | (vaddr & pageOffsetMask);
-            } else {
-                bool faulted = false;
-                paddr = vm_.translate(*task_, vaddr, &faulted);
-                if (faulted)
-                    tick += pageFaultCharge_;
-            }
-
-            const bool isWrite = pendingEntry_->isWrite;
-            chargeInstructions(1);
-            ++memOps;
-
-            // L1 hit: no traffic, and the hierarchy's access count
-            // is batched into l1Hits.
-            if (l1.accessHit(paddr, isWrite)) {
-                ++l1Hits;
-                tick += l1HitCharge;
-                pendingEntry_.reset();
-                continue;
-            }
-
+            ++l1Misses;
+            tick += chargeTicks[1];
             const auto res = caches_.access(id_, task_->pid(), paddr,
-                                            isWrite);
+                                            e.isWrite);
             if (!res.dramMiss) {
                 // Hit latency partially exposed past the OoO window.
                 REFSCHED_ASSERT(res.latency < hitChargeTable_.size(),
@@ -391,22 +404,21 @@ Core::advance(Tick now)
             if (res.dramMiss) {
                 pendingMiss_ = paddr & lineMask;
                 pendingMissIdx_ = idx;
-                pendingMissSequential_ = pendingEntry_->sequential;
-                pendingMissDependent_ = pendingEntry_->dependent;
+                pendingMissSequential_ = e.sequential;
+                pendingMissDependent_ = e.dependent;
             }
-
-            pendingEntry_.reset();
             // Stages A/B pick up the generated DRAM traffic next loop.
         }
     };
     issue();
 
+    const std::uint64_t instrs = idx - instrIdx_;
     localTick_ = tick;
     instrIdx_ = idx;
     task_->instrsRetired += instrs;
     task_->memOps += memOps;
     instrsIssued += static_cast<double>(instrs);
-    caches_.countL1Hits(l1Hits);
+    caches_.countL1Hits(memOps - l1Misses);
 }
 
 void

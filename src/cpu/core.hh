@@ -185,6 +185,9 @@ class Core : public os::CpuContext, public Callee
      */
     std::vector<std::uint64_t> fillSlotIdx_;
     std::vector<std::uint8_t> fillSlotFilled_;
+    /** An entry the ROB stopped (or a sync paused) before its memory
+     *  op, and the part of its gap still to issue.  advance() runs
+     *  every other entry in locals. */
     std::optional<TraceEntry> pendingEntry_;
     std::uint64_t pendingGap_ = 0;
     std::optional<Addr> pendingMiss_;

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 
+#include "simcore/logging.hh"
 #include "simcore/types.hh"
 
 namespace refsched::cpu
@@ -43,19 +44,51 @@ struct TraceEntry
     Addr vaddr = 0;
 };
 
+/**
+ * A trace source.  Entries are handed out of a fixed block held here:
+ * next() is an inline read of the block, and the one virtual call,
+ * refill(), runs only when the block is used up.  A source that must
+ * act at the moment each entry is handed out (it reads the clock, say)
+ * returns one entry per refill().
+ */
 class InstructionSource
 {
   public:
+    /** Capacity of the block: 1 KB of TraceEntry. */
+    static constexpr std::uint32_t kBlockEntries = 64;
+
     virtual ~InstructionSource() = default;
 
     /** Produce the next trace entry. */
-    virtual TraceEntry next() = 0;
+    TraceEntry
+    next()
+    {
+        if (head_ == filled_) {
+            filled_ = refill(block_);
+            REFSCHED_ASSERT(filled_ >= 1 && filled_ <= kBlockEntries,
+                            "refill() returned ", filled_, " entries");
+            head_ = 0;
+        }
+        return block_[head_++];
+    }
 
     /**
      * Cycles-per-instruction of the non-memory work, modelling ILP
      * limits the issue width alone does not capture.
      */
     virtual double baseCpi() const { return 0.5; }
+
+  protected:
+    /** Write the next 1..kBlockEntries entries to @p block and return
+     *  how many.  Called only once every earlier entry was handed
+     *  out. */
+    virtual std::uint32_t refill(TraceEntry *block) = 0;
+
+  private:
+    /** Entries [head_, filled_) are still to be handed out. */
+    TraceEntry block_[kBlockEntries];
+    std::uint32_t head_ = 0;
+    std::uint32_t filled_ = 0;
 };
 
 } // namespace refsched::cpu

@@ -22,16 +22,17 @@ AdversarialHotspotSource::AdversarialHotspotSource(
 {
 }
 
-cpu::TraceEntry
-AdversarialHotspotSource::next()
+std::uint32_t
+AdversarialHotspotSource::refill(cpu::TraceEntry *block)
 {
-    cpu::TraceEntry e = base_.next();
+    cpu::TraceEntry &e = block[0];
+    e = base_.next();
     if (!rng_.bernoulli(hotspotFraction_))
-        return e;
+        return 1;
 
     std::vector<int> banks = refreshQuery_(clock_());
     if (banks.empty())
-        return e;  // nothing forecastable (AllBank, NoRefresh, ...)
+        return 1;  // nothing forecastable (AllBank, NoRefresh, ...)
 
     if (banks != cachedBanks_) {
         // Rebuild the target-page list over the footprint's vpns,
@@ -56,7 +57,7 @@ AdversarialHotspotSource::next()
         }
     }
     if (candidates_.empty())
-        return e;  // no pages in the victim banks yet
+        return 1;  // no pages in the victim banks yet
 
     const std::uint64_t pageBytes = mapping_->pageBytes();
     const std::uint64_t vpn = candidates_[rng_.below(candidates_.size())];
@@ -64,7 +65,7 @@ AdversarialHotspotSource::next()
     e.vaddr = vpn * pageBytes + rng_.below(pageBytes / access) * access;
     e.sequential = false;
     e.dependent = false;
-    return e;
+    return 1;
 }
 
 } // namespace refsched::workload

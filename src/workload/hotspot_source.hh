@@ -53,14 +53,16 @@ class AdversarialHotspotSource final : public cpu::InstructionSource
                              std::function<Tick()> clock,
                              double hotspotFraction = 0.8);
 
-    cpu::TraceEntry next() override;
-
     double baseCpi() const override { return base_.baseCpi(); }
 
     /** Underlying generator (phase state, effective footprint). */
     const SyntheticTraceGenerator &generator() const { return base_; }
 
   private:
+    /** One entry per refill: the redirect reads the clock and the
+     *  refresh forecast at the moment its entry is handed out. */
+    std::uint32_t refill(cpu::TraceEntry *block) override;
+
     SyntheticTraceGenerator base_;
     const os::Task *task_;
     const dram::AddressMapping *mapping_;

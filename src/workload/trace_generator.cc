@@ -66,8 +66,8 @@ SyntheticTraceGenerator::applyPhase(std::size_t idx)
     phaseInstrsLeft_ = profile_.phased() ? profile_.memPhaseInstrs : 0;
 }
 
-void
-SyntheticTraceGenerator::refill()
+std::uint32_t
+SyntheticTraceGenerator::refill(cpu::TraceEntry *block)
 {
     const bool macro = !base_.phases.empty();
     if (macro && macroInstrsLeft_ == 0) {
@@ -100,9 +100,8 @@ SyntheticTraceGenerator::refill()
     const std::uint64_t footprintSlots = footprint_ / access;
     const bool computePhase = phased && !inMemPhase_;
 
-    head_ = 0;
-    filled_ = 0;
-    while (filled_ < kBlockEntries) {
+    std::uint32_t filled = 0;
+    while (filled < kBlockEntries) {
         cpu::TraceEntry e;
         // Gap between memory ops: geometric with mean (1-f)/f.
         e.gap = static_cast<std::uint32_t>(
@@ -135,7 +134,7 @@ SyntheticTraceGenerator::refill()
                 e.vaddr = rng_.below(hotSlots) * access;
             }
         }
-        block_[filled_++] = e;
+        block[filled++] = e;
 
         // A switch is due before the next entry: end the block so
         // the next refill takes it when that entry is handed out.
@@ -143,6 +142,7 @@ SyntheticTraceGenerator::refill()
             || (phased && phaseInstrsLeft_ == 0))
             break;
     }
+    return filled;
 }
 
 } // namespace refsched::workload

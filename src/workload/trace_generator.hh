@@ -12,9 +12,9 @@
  * of STREAM/bwaves; random accesses are uniform over the footprint
  * (pointer chasing); everything else hits the hot set.
  *
- * Entries are drawn a block at a time into a fixed inline buffer;
- * next() hands them out in order.  A block ends at every micro- or
- * macro-phase switch, so the phase state (phaseEpoch(),
+ * Entries are drawn a block at a time into InstructionSource's
+ * block; next() hands them out in order.  A block ends at every
+ * micro- or macro-phase switch, so the phase state (phaseEpoch(),
  * footprintBytes(), inMemPhase(), profile()) always describes the
  * entry next() returned last, and the draws, their order and the
  * entries are exactly those of drawing one entry per next() call.
@@ -47,14 +47,6 @@ class SyntheticTraceGenerator final : public cpu::InstructionSource
                             std::uint64_t seed,
                             std::uint64_t footprintBytes);
 
-    cpu::TraceEntry
-    next() override
-    {
-        if (head_ == filled_)
-            refill();
-        return block_[head_++];
-    }
-
     double baseCpi() const override { return profile_.baseCpi; }
 
     /** The effective profile of the current macro-phase. */
@@ -73,8 +65,6 @@ class SyntheticTraceGenerator final : public cpu::InstructionSource
 
   private:
     static constexpr int kNumStreams = 4;
-    /** Entries per block: 1 KB of TraceEntry. */
-    static constexpr std::uint32_t kBlockEntries = 64;
 
     /** Enter macro-phase @p idx of the base profile's schedule. */
     void applyPhase(std::size_t idx);
@@ -82,7 +72,7 @@ class SyntheticTraceGenerator final : public cpu::InstructionSource
     /** Take the phase switches now due, then draw the next block:
      *  up to kBlockEntries entries, ending early after the entry
      *  that uses up a micro- or macro-phase budget. */
-    void refill();
+    std::uint32_t refill(cpu::TraceEntry *block) override;
 
     /** Base profile (with the PhaseSchedule) and unscaled effective
      *  footprint, the reference phase scales apply to. */
@@ -103,12 +93,6 @@ class SyntheticTraceGenerator final : public cpu::InstructionSource
     std::size_t phaseIdx_ = 0;
     std::uint64_t macroInstrsLeft_ = 0;
     std::uint64_t phaseEpoch_ = 0;
-
-    /** The current block: entries [head_, filled_) are still to be
-     *  handed out. */
-    cpu::TraceEntry block_[kBlockEntries];
-    std::uint32_t head_ = 0;
-    std::uint32_t filled_ = 0;
 };
 
 } // namespace refsched::workload

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <functional>
 #include <memory>
 
@@ -15,7 +16,7 @@ namespace refsched::cpu
 namespace
 {
 
-/** An InstructionSource driven by a lambda. */
+/** An InstructionSource driven by a lambda, one entry per refill. */
 class ScriptedSource : public InstructionSource
 {
   public:
@@ -25,10 +26,20 @@ class ScriptedSource : public InstructionSource
     {
     }
 
-    TraceEntry next() override { return fn_(); }
     double baseCpi() const override { return cpi_; }
 
+    /** refill() calls so far. */
+    std::uint64_t refills = 0;
+
   private:
+    std::uint32_t
+    refill(TraceEntry *block) override
+    {
+        ++refills;
+        block[0] = fn_();
+        return 1;
+    }
+
     std::function<TraceEntry()> fn_;
     double cpi_;
 };
@@ -396,6 +407,271 @@ TEST(CoreTest, CountersMatchGoldenAtQuantumBoundaries)
     // The run reaches every stall kind it means to.
     EXPECT_GT(f.core.mshrStallTicks.value(), 0.0);
     EXPECT_GT(f.core.dramWrites.value(), 0.0);
+}
+
+/** A MemoryPort that completes every read a fixed latency after it
+ *  arrives and takes every write at once, so fill ticks are exact. */
+class FixedLatencyPort final : public memctrl::MemoryPort
+{
+  public:
+    FixedLatencyPort(EventQueue &eq, Tick latency)
+        : eq_(eq), latency_(latency)
+    {
+    }
+
+    bool
+    enqueue(memctrl::Request req) override
+    {
+        if (req.completion)
+            eq_.schedule(eq_.now() + latency_, *req.completion,
+                         req.cookie0, req.cookie1);
+        return true;
+    }
+
+    void
+    requestRetryNotification(Callee &, std::uint64_t,
+                              std::uint64_t) override
+    {
+    }
+
+  private:
+    EventQueue &eq_;
+    Tick latency_;
+};
+
+/**
+ * A core on a FixedLatencyPort, for exact-tick checks of the issue
+ * loop.  With the default 312-ps clock, one instruction at CPI 0.5
+ * costs 156 ticks and an L1 hit (2 cycles, 30 % exposed) 187.
+ */
+struct TimedFixture
+{
+    static constexpr Tick kFillLatency = 100'000;
+
+    TimedFixture()
+        : dev(dram::makeDdr3_1600(dram::DensityGb::d32,
+                                  milliseconds(64.0), 256)),
+          mapping(dev.org), buddy(mapping), vm(mapping, buddy),
+          caches(1, Fixture::smallCaches()),
+          port(eq, kFillLatency),
+          core(eq, 0, CoreParams{}, caches, port, vm),
+          task(1, "timed", mapping.totalBanks())
+    {
+        caches.registerStats(reg, "caches");
+    }
+
+    /** Map the page of @p vaddr and bring its line into L1. */
+    void
+    warm(Addr vaddr)
+    {
+        caches.access(0, task.pid(), vm.translate(task, vaddr), false);
+    }
+
+    /** Run (or continue) the task's quantum up to @p until. */
+    void
+    runTo(Tick until)
+    {
+        core.setTask(&task, until);
+        eq.runUntil(until);
+    }
+
+    double
+    accesses() const
+    {
+        return static_cast<const Scalar *>(reg.find("caches.accesses"))
+            ->value();
+    }
+
+    EventQueue eq;
+    dram::DramDeviceConfig dev;
+    dram::AddressMapping mapping;
+    os::BuddyAllocator buddy;
+    os::VirtualMemory vm;
+    cache::CacheHierarchy caches;
+    FixedLatencyPort port;
+    cpu::Core core;
+    os::Task task;
+    StatRegistry reg;
+};
+
+/** chargeTable_'s rule: n instructions at @p cpi cost
+ *  llround(n * cpi * 312) ticks. */
+Tick
+chargeOf(std::uint64_t n, double cpi)
+{
+    return static_cast<Tick>(
+        std::llround(static_cast<double>(n) * (cpi * 312.0)));
+}
+
+constexpr Tick kL1HitTicks = 187;  // llround(2 * 0.3 * 312)
+
+TEST(CoreTest, GapLongerThanRobIsChargedInRobChunks)
+{
+    // No miss is ever outstanding, yet a 300-instruction gap is
+    // charged as 128 + 128 + 44: at 218.4 ticks per instruction the
+    // chunks sum to one tick less than a single 300-instruction
+    // charge would.
+    const double cpi = 0.7000063;
+    ASSERT_EQ(chargeOf(128, cpi), 27955);
+    ASSERT_EQ(chargeOf(44, cpi), 9610);
+    ASSERT_EQ(chargeOf(300, cpi), 65521);
+    const Tick perEntry = 2 * chargeOf(128, cpi) + chargeOf(44, cpi)
+        + chargeOf(1, cpi) + kL1HitTicks;
+    ASSERT_EQ(perEntry, 65925);
+
+    TimedFixture f;
+    f.warm(0);
+    ScriptedSource src(
+        [] {
+            TraceEntry e;
+            e.gap = 300;
+            return e;
+        },
+        cpi);
+    f.task.source = &src;
+
+    // A quantum ending exactly on an entry boundary stops there; one
+    // tick later takes exactly one more entry, so the clock stood at
+    // 2 * perEntry.
+    f.runTo(2 * perEntry);
+    EXPECT_EQ(f.task.instrsRetired, 2u * 301);
+    EXPECT_EQ(f.task.memOps, 2u);
+    f.runTo(2 * perEntry + 1);
+    EXPECT_EQ(f.task.instrsRetired, 3u * 301);
+    EXPECT_EQ(f.task.memOps, 3u);
+    EXPECT_EQ(f.core.robStallTicks.value(), 0.0);
+    EXPECT_EQ(f.core.dramReads.value(), 0.0);
+}
+
+TEST(CoreTest, GapEndingAtRobLimitStallsBeforeMemoryOp)
+{
+    TimedFixture f;
+    f.warm(0);
+    f.vm.translate(f.task, 64 * kKiB);  // mapped, but its line is cold
+    std::uint64_t n = 0;
+    ScriptedSource src([&n] {
+        TraceEntry e;
+        if (n == 0) {
+            e.vaddr = 64 * kKiB;  // a DRAM miss at index 1
+        } else if (n == 1) {
+            e.gap = 128;  // ends at index 129 = miss + robSize
+        }
+        ++n;
+        return e;
+    });
+    f.task.source = &src;
+
+    // The miss's memory op ends at 156; Stage B sends it at 156 and
+    // its fill returns at 100156.  The 128-instruction gap ends at
+    // 156 + 128 * 156 = 20124 with the ROB full, so the memory op
+    // waits there and the stall lasts 100156 - 20124 ticks.
+    f.runTo(50'000);
+    EXPECT_EQ(f.task.instrsRetired, 129u);
+    EXPECT_EQ(f.task.memOps, 1u);
+    EXPECT_EQ(f.core.dramReads.value(), 1.0);
+
+    // After the fill: the parked memory op (156 + 187, ends at
+    // 100499), then ten gap-0 hits of 343 ticks each.
+    f.runTo(100'499 + 10 * 343);
+    EXPECT_EQ(f.core.robStallTicks.value(), 100'156.0 - 20'124.0);
+    EXPECT_EQ(f.task.memOps, 12u);
+    EXPECT_EQ(f.task.instrsRetired, 140u);
+    EXPECT_EQ(src.refills, 12u);
+}
+
+TEST(CoreTest, FirstTouchInsideL1HitRunChargesOneFault)
+{
+    TimedFixture f;
+    f.warm(0);
+    const std::uint64_t faultsBefore = f.task.pageFaults;
+    const Addr fresh = 1 * kMiB;  // never touched
+    std::uint64_t n = 0;
+    ScriptedSource src([&] {
+        TraceEntry e;
+        e.gap = 5;
+        if (n == 3) {
+            // First touch: a fault, and a write-validate L1 + L2 miss
+            // (no DRAM read) that leaves the line in L1.
+            e.vaddr = fresh;
+            e.isWrite = true;
+        } else if (n > 3 && n % 2 == 0) {
+            e.vaddr = fresh;  // L1 hits on the page just mapped
+        }
+        ++n;
+        return e;
+    });
+    f.task.source = &src;
+
+    const Tick hit = chargeOf(5, 0.5) + chargeOf(1, 0.5) + kL1HitTicks;
+    ASSERT_EQ(hit, 1123);
+    // 3000 fault cycles, and a 22-cycle L1 + L2 miss 30 % exposed.
+    const Tick faultEntry = chargeOf(5, 0.5) + 3000 * 312
+        + chargeOf(1, 0.5) + 2059;
+    const Tick eighth = 3 * hit + faultEntry + 4 * hit;
+    f.runTo(eighth);
+    EXPECT_EQ(f.task.memOps, 8u);
+    EXPECT_EQ(f.task.instrsRetired, 48u);
+    f.runTo(eighth + 1);
+    EXPECT_EQ(f.task.memOps, 9u);
+    EXPECT_EQ(f.task.pageFaults - faultsBefore, 1u);
+    EXPECT_EQ(f.core.dramReads.value(), 0.0);
+}
+
+TEST(CoreTest, RunUntilBetweenEntriesAndInsideAGap)
+{
+    TimedFixture f;
+    f.warm(0);
+    ScriptedSource src([] {
+        TraceEntry e;
+        e.gap = 99;
+        return e;
+    });
+    f.task.source = &src;
+    const Tick perEntry = chargeOf(99, 0.5) + chargeOf(1, 0.5)
+        + kL1HitTicks;
+    ASSERT_EQ(perEntry, 15787);
+
+    // On an entry boundary: exactly three entries.
+    f.runTo(3 * perEntry);
+    EXPECT_EQ(f.task.instrsRetired, 300u);
+    // Inside the sixth entry's gap: the quantum is checked only
+    // between entries, so the sixth entry finishes.
+    f.runTo(5 * perEntry + 7'000);
+    EXPECT_EQ(f.task.instrsRetired, 600u);
+    // The clock stood at 6 * perEntry: one tick later is one entry.
+    f.runTo(6 * perEntry + 1);
+    EXPECT_EQ(f.task.instrsRetired, 700u);
+    EXPECT_EQ(f.task.memOps, 7u);
+    EXPECT_EQ(src.refills, 7u);
+}
+
+TEST(CoreTest, L1MissAfterHitsCountsOneAccess)
+{
+    TimedFixture f;
+    f.warm(0);
+    f.vm.translate(f.task, 64 * kKiB);
+    const double warmAccesses = f.accesses();
+    const std::uint64_t l1Before = f.caches.l1(0).accesses();
+    std::uint64_t n = 0;
+    ScriptedSource src([&n] {
+        TraceEntry e;
+        e.gap = 3;
+        if (n++ == 4)
+            e.vaddr = 64 * kKiB;  // cold line: L1, L2 and DRAM miss
+        return e;
+    });
+    f.task.source = &src;
+
+    // Four hits of 811 ticks, the miss (its memory op ends at 3868,
+    // where Stage B sends the read), then two more hits.
+    const Tick hit = chargeOf(3, 0.5) + chargeOf(1, 0.5) + kL1HitTicks;
+    ASSERT_EQ(hit, 811);
+    f.runTo(4 * hit + chargeOf(4, 0.5) + 2 * hit);
+    EXPECT_EQ(f.task.memOps, 7u);
+    EXPECT_EQ(f.task.instrsRetired, 28u);
+    EXPECT_EQ(f.core.dramReads.value(), 1.0);
+    EXPECT_EQ(f.accesses() - warmAccesses, 7.0);
+    EXPECT_EQ(f.caches.l1(0).accesses() - l1Before, 7u);
 }
 
 TEST(CoreTest, BadParamsAreFatal)
